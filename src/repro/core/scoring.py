@@ -6,11 +6,12 @@ separately.  The :class:`BatchScorer` groups a batch of windows by the
 per-context model that will score them and runs one whole-matrix
 ``scale → decision-function → predict`` pass per model, which is the
 difference between thousands of tiny BLAS calls and a handful of large ones.
-:func:`score_requests` goes one step further for the serving frontend: it
-coalesces many users' requests into a *single* fused projection over the
-whole fleet batch wherever the selected models are affine
-(:class:`~repro.ml.base.LinearDecisionRule`), falling back to per-model
-passes for everything else.
+:func:`score_stacked` goes one step further for the serving frontend: it
+scores many users' requests, stacked into one contiguous block, in a
+*single* fused projection over the whole fleet batch wherever the selected
+models are affine (:class:`~repro.ml.base.LinearDecisionRule`), falling
+back to per-model passes for everything else.  :func:`score_requests` is
+the convenience form that stacks per-request arrays first.
 
 Model selection replicates the seed authenticator exactly (including the
 fall-back behaviour for unknown contexts and the single-model "w/o context"

@@ -115,7 +115,7 @@ class ContextModel:
         Combines the scaler's standardisation with the classifier's
         :meth:`~repro.ml.base.BaseClassifier.decision_projection` so the
         coalescing frontend can fuse many users' models into one batched
-        projection (:func:`repro.core.scoring.score_requests`).  Returns
+        projection (:func:`repro.core.scoring.score_stacked`).  Returns
         ``None`` — making callers fall back to :meth:`batch_decisions` —
         whenever the classifier has no affine form or the label layout
         cannot express accept/reject as a threshold on the raw score.

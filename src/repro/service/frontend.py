@@ -12,15 +12,18 @@ and wraps every dispatch in middleware:
   under that user's lock, keeping read-modify-write operations (enroll,
   drift retrain) safe under concurrent submission.
 
-Its distinguishing feature is **micro-batching**: consecutive
+Its distinguishing feature is **micro-batching**: every authenticate
+dispatch runs through ONE columnar pass.  A binary frame arrives as
+:class:`~repro.service.protocol.AuthenticateColumns` already
+(:meth:`ServiceFrontend.submit_columns`); a run of consecutive
 :class:`~repro.service.protocol.AuthenticateRequest`\\ s in one
-:meth:`ServiceFrontend.submit_many` call are *coalesced* into a single
-vectorized :func:`~repro.core.scoring.score_requests` pass — one fused
-projection over the whole fleet batch for affine models (the paper's
-kernel-ridge configuration), instead of one scoring call per request — and
-the responses are fanned back out in request order.  Windows whose requests
-carry no device-reported contexts are labelled inside the same batched pass
-by the registry-published context detector.
+:meth:`ServiceFrontend.submit_many` call is stacked into the same shape.
+The pass labels the windows of requests that reported no contexts in one
+vectorized detector call, scores the whole block in a single
+:func:`~repro.core.scoring.score_stacked` projection for affine models (the
+paper's kernel-ridge configuration), and object requests get their
+responses fanned back out in request order with
+:meth:`~repro.service.protocol.ColumnarAuthResult.responses`.
 
 The coalesced pass reuses the stacked model parameters across flushes
 through a :class:`~repro.core.scoring.FusedStackCache` keyed by the serving
@@ -49,17 +52,15 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.scoring import (
-    CONTEXT_CODES,
     FusedStackCache,
+    encode_contexts,
     offsets_from_lengths,
-    score_requests,
     score_stacked,
 )
 from repro.service.gateway import AuthenticationGateway, PlaneMismatchError
 from repro.service.protocol import (
     AuthenticateColumns,
     AuthenticateRequest,
-    AuthenticationResponse,
     ColumnarAuthResult,
     ErrorResponse,
     Request,
@@ -219,7 +220,7 @@ class ServiceFrontend:
                     requests[end], AuthenticateRequest
                 ):
                     end += 1
-                responses[index:end] = self._authenticate_coalesced(
+                responses[index:end] = self._authenticate_run(
                     requests[index:end]  # type: ignore[arg-type]
                 )
                 index = end
@@ -242,22 +243,22 @@ class ServiceFrontend:
                 return self._error(kind, error, user_id)
 
     # ------------------------------------------------------------------ #
-    # the columnar (zero-copy) authenticate pass
+    # the authenticate pass: one columnar path behind both doors
     # ------------------------------------------------------------------ #
 
     def submit_columns(self, columns: AuthenticateColumns) -> ColumnarAuthResult:
         """Dispatch a columnar authenticate batch through the middleware stack.
 
-        The zero-copy twin of submitting a run of
-        :class:`~repro.service.protocol.AuthenticateRequest`\\ s through
-        :meth:`submit_many`: same telemetry, same per-user locks, same
-        error isolation (a request that cannot be served answers a typed
+        The binary frame's door into the authenticate pass that
+        :meth:`submit_many` runs its authenticate requests through too:
+        same telemetry, same per-user locks, same error isolation (a
+        request that cannot be served answers a typed
         :class:`~repro.service.protocol.ErrorResponse` in the result's
-        sparse error map without costing its neighbours) — but the feature
+        sparse error map without costing its neighbours).  The feature
         block travels straight from the wire decode into the fused scoring
         pass (:func:`~repro.core.scoring.score_stacked`) with no
-        per-request protocol objects anywhere.  Decisions are bit-for-bit
-        identical to the per-request path.
+        per-request protocol objects anywhere; a batch without context
+        codes has every window's context detected server-side.
 
         Raises
         ------
@@ -270,40 +271,120 @@ class ServiceFrontend:
                 f"submit_columns expects AuthenticateColumns, got "
                 f"{type(columns).__name__}"
             )
-        self.telemetry.increment("frontend.requests", columns.n_requests)
+        # The batch was rebuilt from wire bytes, so its trace (if any)
+        # travels as an id field rather than an object binding.
+        tracer = self.tracer
+        trace = tracer.lookup(columns.trace_id) if tracer is not None else None
+        detect = np.full(columns.n_requests, columns.context_codes is None)
+        traces = [] if trace is None else [trace]
+        return self._authenticate([(columns, detect, traces)])[0]
+
+    def _authenticate_run(self, batch: Sequence[AuthenticateRequest]) -> list[Response]:
+        """Score a run of authenticate requests through the columnar pass.
+
+        The run is stacked into :class:`AuthenticateColumns` and the
+        responses fan back out in request order.  Only malformed input
+        mixes feature widths in one run; such a run stacks one block per
+        width, so every request still answers its own typed response.
+        Object requests carry traces by identity binding (they cross the
+        micro-batch queue as the same frozen object).
+        """
+        members_by_width: dict[int, list[int]] = {}
+        for index, request in enumerate(batch):
+            members_by_width.setdefault(request.features.shape[1], []).append(index)
+        tracer = self.tracer
+        blocks = []
+        for members in members_by_width.values():
+            requests = [batch[index] for index in members]
+            detect = np.array([request.contexts is None for request in requests])
+            # Rows still to be detected hold placeholder codes until the
+            # pass labels them.
+            codes = None if detect.all() else np.concatenate(
+                [
+                    np.zeros(len(request.features), dtype=np.int8)
+                    if request.contexts is None
+                    else request.context_codes
+                    for request in requests
+                ]
+            )
+            columns = AuthenticateColumns(
+                user_ids=tuple(request.user_id for request in requests),
+                features=np.concatenate([request.features for request in requests]),
+                lengths=[len(request.features) for request in requests],
+                context_codes=codes,
+                versions=tuple(request.version for request in requests),
+            )
+            traces = (
+                []
+                if tracer is None
+                else [
+                    trace
+                    for trace in map(tracer.trace_for, requests)
+                    if trace is not None
+                ]
+            )
+            blocks.append((columns, detect, traces))
+        responses: list[Response | None] = [None] * len(batch)
+        results = self._authenticate(blocks)
+        for members, result in zip(members_by_width.values(), results):
+            for index, response in zip(members, result.responses()):
+                responses[index] = response
+        return responses  # type: ignore[return-value]
+
+    def _authenticate(
+        self, blocks: list[tuple[AuthenticateColumns, np.ndarray, list]]
+    ) -> list[ColumnarAuthResult]:
+        """Score columnar blocks under one counter, timer and set of user locks."""
+        self.telemetry.increment(
+            "frontend.requests", sum(columns.n_requests for columns, _, _ in blocks)
+        )
         with self.telemetry.timer("frontend.authenticate"):
-            locks = [self._lock_for(user) for user in sorted(set(columns.user_ids))]
+            users = set().union(*(columns.user_ids for columns, _, _ in blocks))
+            locks = [self._lock_for(user) for user in sorted(users)]
             for lock in locks:
                 lock.acquire()
             try:
-                return self._score_columns(columns)
+                return [self._score_columns(*block) for block in blocks]
             finally:
                 for lock in reversed(locks):
                     lock.release()
 
-    def _score_columns(self, columns: AuthenticateColumns) -> ColumnarAuthResult:
-        # The columnar batch was rebuilt from wire bytes, so its trace (if
-        # any) travels as an id field rather than an object binding.
-        tracer = self.tracer
-        trace = tracer.lookup(columns.trace_id) if tracer is not None else None
+    def _score_columns(
+        self, columns: AuthenticateColumns, detect: np.ndarray, traces: list
+    ) -> ColumnarAuthResult:
+        """The authenticate pass over one columnar block.
+
+        *detect* flags the requests that reported no contexts; *traces*
+        each receive the pass's ``fused_pass`` span.
+        """
         n_requests = columns.n_requests
         user_ids = columns.user_ids
         lengths = columns.lengths
         offsets = offsets_from_lengths(lengths)
         errors: dict[int, ErrorResponse] = {}
 
-        # 1. Context detection over the WHOLE block in one vectorized pass
-        #    when the frame carries no device-reported contexts; if the
-        #    shared pass fails, fall back per request (on block slices) so
-        #    only the offending requests are rejected — mirroring the
-        #    object path.
+        # 1. Context detection over the rows of every request that reported
+        #    none, in ONE vectorized pass; if the shared pass fails, fall
+        #    back per request (on block slices) so only the offending
+        #    requests are rejected.
         codes = columns.context_codes
-        if codes is None:
+        if detect.any():
             try:
-                codes = self.gateway.detect_context_codes(columns.features)
+                if detect.all():
+                    codes = self.gateway.detect_context_codes(columns.features)
+                else:
+                    rows = np.repeat(detect, lengths)
+                    codes = codes.copy()
+                    codes[rows] = self.gateway.detect_context_codes(
+                        columns.features[rows]
+                    )
             except Exception:
-                codes = np.zeros(columns.n_windows, dtype=np.int8)
-                for index in range(n_requests):
+                codes = (
+                    np.zeros(columns.n_windows, dtype=np.int8)
+                    if columns.context_codes is None
+                    else columns.context_codes.copy()
+                )
+                for index in np.flatnonzero(detect).tolist():
                     start, stop = int(offsets[index]), int(offsets[index + 1])
                     try:
                         codes[start:stop] = self.gateway.detect_context_codes(
@@ -362,7 +443,7 @@ class ServiceFrontend:
         #    bad request cannot poison its neighbours.
         self._refresh_stack_cache()
         hits, misses = self.stack_cache.hits, self.stack_cache.misses
-        fused_started = perf_counter() if trace is not None else 0.0
+        fused_started = perf_counter() if traces else 0.0
         fused = True
         try:
             with self.telemetry.timer("authenticate"):
@@ -371,16 +452,27 @@ class ServiceFrontend:
                 )
         except Exception:
             fused = False
-            scores, accepted, model_codes = self._score_columns_fallback(
-                live,
-                scorers,
-                stacked,
-                live_lengths,
-                live_codes,
-                user_ids,
-                errors,
-                scored_lengths,
-                model_versions,
+            kept = []
+            live_offsets = offsets_from_lengths(live_lengths)
+            for position, index in enumerate(live):
+                start, stop = live_offsets[position], live_offsets[position + 1]
+                try:
+                    with self.telemetry.timer("authenticate"):
+                        result = scorers[position].score(
+                            stacked[start:stop], live_codes[start:stop]
+                        )
+                except Exception as error:
+                    errors[index] = self._error("authenticate", error, user_ids[index])
+                    continue
+                kept.append(result)
+                scored_lengths[index] = len(result)
+                model_versions[index] = result.model_version
+            scores = np.concatenate([r.scores for r in kept] or [np.empty(0)])
+            accepted = np.concatenate(
+                [r.accepted for r in kept] or [np.empty(0, dtype=bool)]
+            )
+            model_codes = encode_contexts(
+                [context for r in kept for context in r.model_contexts]
             )
         else:
             scores = stacked_result.scores
@@ -394,17 +486,20 @@ class ServiceFrontend:
         cache_misses = self.stack_cache.misses - misses
         self.telemetry.increment("frontend.stack_cache.hits", cache_hits)
         self.telemetry.increment("frontend.stack_cache.misses", cache_misses)
-        if trace is not None:
-            trace.add_span(
-                SPAN_FUSED_PASS,
-                perf_counter() - fused_started,
-                flush_id=next(self._flush_ids),
-                batch_size=len(live),
-                windows=int(len(scores)),
-                coalesced=fused,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-            )
+        if traces:
+            fused_s = perf_counter() - fused_started
+            flush_id = next(self._flush_ids)
+            for trace in traces:
+                trace.add_span(
+                    SPAN_FUSED_PASS,
+                    fused_s,
+                    flush_id=flush_id,
+                    batch_size=len(live),
+                    windows=int(len(scores)),
+                    coalesced=fused,
+                    cache_hits=cache_hits,
+                    cache_misses=cache_misses,
+                )
         self.gateway.record_decision_counts(
             len(scores), int(np.count_nonzero(accepted))
         )
@@ -417,202 +512,6 @@ class ServiceFrontend:
             model_versions=model_versions,
             errors=errors,
         )
-
-    def _score_columns_fallback(
-        self,
-        live: list[int],
-        scorers: list,
-        stacked: np.ndarray,
-        live_lengths: np.ndarray,
-        live_codes: np.ndarray,
-        user_ids: Sequence[str],
-        errors: dict[int, ErrorResponse],
-        scored_lengths: np.ndarray,
-        model_versions: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-request isolation path once the fused columnar pass failed."""
-        live_offsets = offsets_from_lengths(live_lengths)
-        kept_scores: list[np.ndarray] = []
-        kept_accepted: list[np.ndarray] = []
-        kept_codes: list[np.ndarray] = []
-        for position, index in enumerate(live):
-            start, stop = int(live_offsets[position]), int(live_offsets[position + 1])
-            try:
-                with self.telemetry.timer("authenticate"):
-                    result = scorers[position].score(
-                        stacked[start:stop], live_codes[start:stop]
-                    )
-            except Exception as error:
-                errors[index] = self._error("authenticate", error, user_ids[index])
-                continue
-            kept_scores.append(result.scores)
-            kept_accepted.append(result.accepted)
-            kept_codes.append(
-                np.fromiter(
-                    (CONTEXT_CODES[context] for context in result.model_contexts),
-                    dtype=np.int8,
-                    count=len(result),
-                )
-            )
-            scored_lengths[index] = len(result)
-            model_versions[index] = result.model_version
-        if not kept_scores:
-            return np.empty(0), np.empty(0, dtype=bool), np.empty(0, dtype=np.int8)
-        return (
-            np.concatenate(kept_scores),
-            np.concatenate(kept_accepted),
-            np.concatenate(kept_codes),
-        )
-
-    # ------------------------------------------------------------------ #
-    # the coalesced authenticate pass
-    # ------------------------------------------------------------------ #
-
-    def _authenticate_coalesced(
-        self, batch: Sequence[AuthenticateRequest]
-    ) -> list[Response]:
-        self.telemetry.increment("frontend.requests", len(batch))
-        with self.telemetry.timer("frontend.authenticate"):
-            locks = [self._lock_for(user) for user in sorted({r.user_id for r in batch})]
-            for lock in locks:
-                lock.acquire()
-            try:
-                return self._score_batch(batch)
-            finally:
-                for lock in reversed(locks):
-                    lock.release()
-
-    def _score_batch(self, batch: Sequence[AuthenticateRequest]) -> list[Response]:
-        # Object requests carry traces by identity binding (they cross the
-        # micro-batch queue as the same frozen object).
-        tracer = self.tracer
-        traces = None
-        if tracer is not None:
-            traces = [tracer.trace_for(request) for request in batch]
-            if not any(trace is not None for trace in traces):
-                traces = None
-        responses: list[Response | None] = [None] * len(batch)
-
-        # 1. Context detection for every request that did not report
-        #    contexts, in ONE vectorized detector pass over all their rows
-        #    (emitting int context codes — the hot path never builds enum
-        #    tuples).  If the shared pass fails (e.g. one request's
-        #    malformed feature width breaks the stack), fall back to
-        #    per-request detection so only the offending requests are
-        #    rejected.
-        detected: dict[int, np.ndarray] = {}
-        needing = [index for index, request in enumerate(batch) if request.contexts is None]
-        if needing:
-            rows = [batch[index].features for index in needing]
-            try:
-                codes = self.gateway.detect_context_codes(np.vstack(rows))
-            except Exception:
-                for index in needing:
-                    try:
-                        detected[index] = self.gateway.detect_context_codes(
-                            batch[index].features
-                        )
-                    except Exception as error:
-                        responses[index] = self._error(
-                            "authenticate", error, batch[index].user_id
-                        )
-            else:
-                offset = 0
-                for index, request_rows in zip(needing, rows):
-                    detected[index] = codes[offset : offset + len(request_rows)]
-                    offset += len(request_rows)
-
-        # 2. Resolve each remaining request's served scorer; a missing
-        #    model rejects that request alone.
-        live: list[int] = []
-        scorers, features_list, contexts_list = [], [], []
-        for index, request in enumerate(batch):
-            if responses[index] is not None:
-                continue
-            try:
-                scorer = self.gateway.scorer_for(request.user_id, request.version)
-            except Exception as error:
-                responses[index] = self._error("authenticate", error, request.user_id)
-                continue
-            live.append(index)
-            scorers.append(scorer)
-            features_list.append(request.features)
-            contexts_list.append(
-                detected[index] if request.contexts is None else request.context_codes
-            )
-
-        # 3. One coalesced scoring pass over every surviving request; the
-        #    "authenticate" latency recorder keeps measuring backend scoring
-        #    time exactly as the per-request gateway path does.  If the
-        #    shared pass fails (e.g. one request's rows do not match its
-        #    model's width), score each request individually so one bad
-        #    request cannot poison its neighbours.
-        if live:
-            # Mirrors score_requests' own fusibility condition: mixed
-            # feature widths make it score per request with no fusion, so
-            # the coalesced.* counters must not claim those windows.
-            coalesced = (
-                len({features.shape[1] for features in features_list if len(features)})
-                <= 1
-            )
-            self._refresh_stack_cache()
-            hits, misses = self.stack_cache.hits, self.stack_cache.misses
-            fused_started = perf_counter() if traces is not None else 0.0
-            try:
-                with self.telemetry.timer("authenticate"):
-                    results = score_requests(
-                        scorers, features_list, contexts_list, self.stack_cache
-                    )
-            except Exception:
-                coalesced = False
-                results = []
-                for position, index in enumerate(live):
-                    try:
-                        with self.telemetry.timer("authenticate"):
-                            results.append(
-                                scorers[position].score(
-                                    features_list[position], contexts_list[position]
-                                )
-                            )
-                    except Exception as error:
-                        results.append(None)
-                        responses[index] = self._error(
-                            "authenticate", error, batch[index].user_id
-                        )
-            if coalesced:
-                self.telemetry.increment("frontend.coalesced_batches")
-            cache_hits = self.stack_cache.hits - hits
-            cache_misses = self.stack_cache.misses - misses
-            self.telemetry.increment("frontend.stack_cache.hits", cache_hits)
-            self.telemetry.increment("frontend.stack_cache.misses", cache_misses)
-            if traces is not None:
-                fused_s = perf_counter() - fused_started
-                flush_id = next(self._flush_ids)
-                for index in live:
-                    request_trace = traces[index]
-                    if request_trace is not None:
-                        request_trace.add_span(
-                            SPAN_FUSED_PASS,
-                            fused_s,
-                            flush_id=flush_id,
-                            batch_size=len(live),
-                            coalesced=coalesced,
-                            cache_hits=cache_hits,
-                            cache_misses=cache_misses,
-                        )
-            for index, result in zip(live, results):
-                if result is None:
-                    continue
-                self.gateway.record_authentication(result)
-                if coalesced:
-                    # The coalesced.* counters measure fusion specifically;
-                    # windows scored by the per-request fallback still count
-                    # in auth.* but not here.
-                    self.telemetry.increment("frontend.coalesced_windows", len(result))
-                responses[index] = AuthenticationResponse(
-                    user_id=batch[index].user_id, result=result
-                )
-        return responses  # type: ignore[return-value]
 
 
 # --------------------------------------------------------------------- #

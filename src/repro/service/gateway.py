@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.context import ContextDetector
 from repro.core.scoring import (
     BatchScorer,
-    BatchScoreResult,
     canonicalize_rows,
     decode_contexts,
     encode_contexts,
@@ -510,21 +509,13 @@ class AuthenticationGateway:
         self._scorers[user_id] = (resolved, self.use_context, scorer)
         return scorer
 
-    def record_authentication(self, result: BatchScoreResult) -> None:
-        """Fold one batch's decisions into the service counters.
-
-        Shared by the per-request path below and the frontend's coalesced
-        path, so ``auth.*`` counters stay consistent no matter which door a
-        request came through.
-        """
-        self.record_decision_counts(len(result), result.n_accepted)
-
     def record_decision_counts(self, n_windows: int, n_accepted: int) -> None:
         """Fold raw decision totals into the ``auth.*`` counters.
 
-        The columnar serving path counts accepts straight off its decision
-        block and folds the totals in here — same counters, no per-request
-        result objects.
+        Shared by the per-request path below and the frontend's columnar
+        pass (which counts accepts straight off its decision block), so
+        ``auth.*`` counters stay consistent no matter which door a request
+        came through.
         """
         self.telemetry.increment("auth.windows", n_windows)
         self.telemetry.increment("auth.accepted", n_accepted)
@@ -569,7 +560,7 @@ class AuthenticationGateway:
             result = self.scorer_for(request.user_id, request.version).score(
                 request.features, codes
             )
-        self.record_authentication(result)
+        self.record_decision_counts(len(result), result.n_accepted)
         return AuthenticationResponse(user_id=request.user_id, result=result)
 
     # ------------------------------------------------------------------ #

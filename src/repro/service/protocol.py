@@ -409,9 +409,12 @@ class ColumnarAuthResult:
     def responses(self) -> list["Response"]:
         """Materialize one typed response per request, in request order.
 
-        The compatibility bridge back to the per-request protocol: the
-        binary client uses it so callers of ``submit_many`` see exactly the
-        responses the JSON codec would have produced.
+        The bridge back to the per-request protocol, used at both ends of
+        the wire: the frontend fans a columnar pass over stacked
+        :class:`AuthenticateRequest`\\ s back out through it (the object
+        door of ``ServiceFrontend.submit_many``), and the binary client
+        uses it so callers of ``submit_many`` see exactly the responses the
+        JSON codec would have produced.
         """
         offsets = offsets_from_lengths(self.lengths)
         responses: list[Response] = []

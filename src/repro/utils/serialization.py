@@ -9,6 +9,8 @@ to plain Python types on the way out and back again on the way in.
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
 from typing import Any
 
@@ -51,11 +53,24 @@ def from_jsonable(value: Any) -> Any:
 
 
 def to_json_file(payload: Any, path: str | Path, *, indent: int = 2) -> Path:
-    """Serialise *payload* to *path*, creating parent directories as needed."""
+    """Serialise *payload* to *path*, creating parent directories as needed.
+
+    The payload is written to a dot-prefixed temporary file next to *path*
+    and then renamed onto it, so a writer that dies mid-write leaves the
+    target's previous content (or no target) behind, never a torn one.  A
+    failed write removes the temporary file; one left by a killed process
+    never matches a ``v*.json`` glob.
+    """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(_to_jsonable(payload), handle, indent=indent, sort_keys=True)
+    temporary = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with temporary.open("x", encoding="utf-8") as handle:
+            json.dump(_to_jsonable(payload), handle, indent=indent, sort_keys=True)
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return target
 
 

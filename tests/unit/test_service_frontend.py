@@ -209,6 +209,9 @@ class TestErrorMiddleware:
             features=np.zeros((2, 3)),  # model expects 5 columns
             contexts=(CoarseContext.STATIONARY,) * 2,
         )
+        counter = frontend.telemetry.counter_value
+        batches_before = counter("frontend.coalesced_batches")
+        windows_before = counter("frontend.coalesced_windows")
         responses = frontend.submit_many([good, narrow, good])
         assert isinstance(responses[1], ErrorResponse)
         assert responses[1].error == "ValueError"
@@ -218,6 +221,10 @@ class TestErrorMiddleware:
         for survivor in (responses[0], responses[2]):
             assert isinstance(survivor, AuthenticationResponse)
             np.testing.assert_array_equal(survivor.scores, expected.scores)
+        # The well-formed width is one fused pass over its 6 windows; the
+        # malformed request's failed pass adds nothing.
+        assert counter("frontend.coalesced_batches") - batches_before == 1
+        assert counter("frontend.coalesced_windows") - windows_before == 6
 
     def test_malformed_width_does_not_poison_detection_neighbours(self, frontend):
         """Width mismatches must not break the shared detection pass either."""

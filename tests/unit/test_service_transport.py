@@ -1166,6 +1166,29 @@ class TestTracing:
         assert sum(s["duration_s"] for s in events[0]["spans"]) <= events[0]["total_s"]
         assert events[0]["user_id"] == "alice"
 
+    def test_queued_json_and_binary_frame_share_one_fused_pass_span_shape(
+        self, traced
+    ):
+        server, api_key, tracer = traced
+        requests = _auth_requests()
+        with ServiceClient(port=server.port, api_key=api_key) as client:
+            client.submit(requests[0])
+        with ServiceClient(
+            port=server.port, api_key=api_key, codec="binary"
+        ) as client:
+            client.submit_many(requests)
+        fused = {}
+        for event in tracer.events():
+            for span in event["spans"]:
+                if span["name"] == "fused_pass":
+                    fused.setdefault(event["kind"], span)
+        assert set(fused) == {"http", "binary-frame"}
+        assert set(fused["http"]) == set(fused["binary-frame"])
+        assert fused["http"]["windows"] == len(requests[0].features)
+        assert fused["binary-frame"]["windows"] == sum(
+            len(request.features) for request in requests
+        )
+
     def test_client_supplied_trace_id_is_adopted_and_echoed(self, traced):
         from repro.service.tracing import TRACE_HEADER
 

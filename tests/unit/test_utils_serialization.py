@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.utils import serialization
 from repro.utils.serialization import dumps, from_json_file, loads, to_json_file
 
 
@@ -36,3 +37,27 @@ class TestRoundTrip:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             from_json_file(tmp_path / "does-not-exist.json")
+
+
+class TestCrashSafeWrites:
+    def test_failed_write_keeps_old_content_and_leaves_no_stray_file(
+        self, tmp_path, monkeypatch
+    ):
+        path = to_json_file({"version": 1}, tmp_path / "v1.json")
+
+        def torn_dump(payload, handle, **kwargs):
+            handle.write('{"vers')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialization.json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            to_json_file({"version": 2}, path)
+        monkeypatch.undo()
+        assert from_json_file(path) == {"version": 1}
+        assert [entry.name for entry in tmp_path.iterdir()] == ["v1.json"]
+
+    def test_overwrite_replaces_content(self, tmp_path):
+        path = to_json_file({"version": 1}, tmp_path / "v1.json")
+        to_json_file({"version": 2}, path)
+        assert from_json_file(path) == {"version": 2}
+        assert [entry.name for entry in tmp_path.iterdir()] == ["v1.json"]
