@@ -285,16 +285,23 @@ class ServiceFrontend:
         The run is stacked into :class:`AuthenticateColumns` and the
         responses fan back out in request order.  Only malformed input
         mixes feature widths in one run; such a run stacks one block per
-        width, so every request still answers its own typed response.
-        Object requests carry traces by identity binding (they cross the
-        micro-batch queue as the same frozen object).
+        width, so every request still answers its own typed response.  A
+        zero-window request has no width of its own and rides in the
+        run's first block.  Object requests carry traces by identity
+        binding (they cross the micro-batch queue as the same frozen
+        object).
         """
+        first_width = next(
+            (request.features.shape[1] for request in batch if len(request.features)),
+            0,
+        )
         members_by_width: dict[int, list[int]] = {}
         for index, request in enumerate(batch):
-            members_by_width.setdefault(request.features.shape[1], []).append(index)
+            width = request.features.shape[1] if len(request.features) else first_width
+            members_by_width.setdefault(width, []).append(index)
         tracer = self.tracer
         blocks = []
-        for members in members_by_width.values():
+        for width, members in members_by_width.items():
             requests = [batch[index] for index in members]
             detect = np.array([request.contexts is None for request in requests])
             # Rows still to be detected hold placeholder codes until the
@@ -309,7 +316,12 @@ class ServiceFrontend:
             )
             columns = AuthenticateColumns(
                 user_ids=tuple(request.user_id for request in requests),
-                features=np.concatenate([request.features for request in requests]),
+                features=np.concatenate(
+                    [
+                        request.features.reshape(len(request.features), width)
+                        for request in requests
+                    ]
+                ),
                 lengths=[len(request.features) for request in requests],
                 context_codes=codes,
                 versions=tuple(request.version for request in requests),

@@ -116,6 +116,25 @@ class TestDispatch:
         assert isinstance(response, AuthenticationResponse)
         assert len(response.result) == 0
         assert response.accept_rate == 0.0
+        # In a run of 5-wide requests the empty one rides in their fused
+        # pass instead of forming a width-0 pass of its own.
+        counter = frontend.telemetry.counter_value
+        batches_before = counter("frontend.coalesced_batches")
+        windows_before = counter("frontend.coalesced_windows")
+        own = matrix("alice", 0.0, n=3, seed=27)
+        responses = frontend.submit_many(
+            [
+                AuthenticateRequest(
+                    user_id="alice",
+                    features=own.values,
+                    contexts=(CoarseContext.STATIONARY,) * 3,
+                ),
+                AuthenticateRequest(user_id="alice", features=np.array([]), contexts=()),
+            ]
+        )
+        assert [len(response.result) for response in responses] == [3, 0]
+        assert counter("frontend.coalesced_batches") - batches_before == 1
+        assert counter("frontend.coalesced_windows") - windows_before == 3
 
     def test_user_lock_table_stays_bounded(self, frontend):
         import gc
