@@ -105,7 +105,7 @@ def main() -> None:
               f"frontend: {counters['frontend.requests']} requests, "
               f"{counters['frontend.coalesced_windows']} windows coalesced into "
               f"{counters['frontend.coalesced_batches']} batches "
-              f"({counters['frontend.stack_cache.hits']} fused-stack cache hits), "
+              f"({counters['frontend.stack_cache.hits']} passes served by a warm serving table), "
               f"{counters['context.detections']} contexts detected server-side, "
               f"p95 batch latency {auth_latency['p95_s'] * 1e3:.1f} ms")
         print(f"caller fleet-operator: {operator['requests']} authorized "

@@ -10,8 +10,12 @@ difference between thousands of tiny BLAS calls and a handful of large ones.
 scores many users' requests, stacked into one contiguous block, in a
 *single* fused projection over the whole fleet batch wherever the selected
 models are affine (:class:`~repro.ml.base.LinearDecisionRule`), falling
-back to per-model passes for everything else.  :func:`score_requests` is
-the convenience form that stacks per-request arrays first.
+back to per-model passes for everything else.  It reads every model
+through a :class:`ServingTable`, which resolves a set of served scorers
+into lookup arrays once (the frontend keeps one per registry generation),
+so a pass resolves each window to its parameter row with one gather.
+:func:`score_requests` is the convenience form that stacks per-request
+arrays and builds a table over its scorers first.
 
 Model selection replicates the seed authenticator exactly (including the
 fall-back behaviour for unknown contexts and the single-model "w/o context"
@@ -32,7 +36,7 @@ concrete model types live in :mod:`repro.devices.cloud`.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -289,8 +293,8 @@ class BatchScorer:
         encodes to code *c* — fall-backs for never-enrolled contexts and the
         ``use_context=False`` single-model mode already applied.  Memoised
         per ``use_context`` value: the bundle is immutable, so resolution
-        can never change under a fixed mode, and the serving hot path looks
-        this table up once per scorer per coalesced flush.
+        can never change under a fixed mode, and a :class:`ServingTable`
+        build looks this table up once per scorer.
         """
         cached = self.__dict__.get("_model_by_code")
         if cached is not None and cached[0] == self.use_context:
@@ -423,13 +427,14 @@ class FusedStacks:
 class FusedStackCache:
     """LRU cache of :class:`FusedStacks` keyed by the serving model set.
 
-    Rebuilding the stacked parameter matrices on every flush is the dominant
-    cost of a coalesced pass once the einsum itself is cheap (hundreds of
-    small per-rule stacking operations per flush).  A serving frontend that
-    flushes the same fleet repeatedly reuses one entry for as long as the
-    served models do not change: the stacks cover every fusible model the
-    flush's scorers *serve* (not just the ones this flush's detected
-    contexts happened to select), so per-flush context variation still hits.
+    Rebuilding the stacked parameter matrices on every call is the dominant
+    cost of :func:`score_requests` once the einsum itself is cheap
+    (hundreds of small per-rule stacking operations per call).  A
+    :class:`ServingTable` built with a cache reuses one entry for as long
+    as its scorers' models do not change: the stacks cover every fusible
+    model the scorers *serve* (not just the ones a call's contexts happened
+    to select), so per-call context variation still hits.  (The serving
+    frontend needs no cache: it keeps one table per registry generation.)
 
     The key is the tuple of the rules' ``id``\\ s in canonical (sorted)
     order — the *serving model-set fingerprint*.  Rules are immutable and
@@ -437,16 +442,14 @@ class FusedStackCache:
     flip yields different rule objects and therefore a different key;
     each entry also holds strong references to its rules, so a key can
     never be recycled by the allocator while its entry is alive.  Explicit
-    invalidation (:meth:`clear`) is therefore a memory-hygiene hook — the
-    service frontend clears the cache whenever the model registry's
-    generation moves — not a correctness requirement.
+    invalidation (:meth:`clear`) is therefore a memory-hygiene hook, not a
+    correctness requirement.
 
     Thread-safe: lookups, inserts, eviction and :meth:`clear` serialize on
-    an internal lock, because the threaded HTTP transport can drive
-    concurrent coalesced flushes for disjoint user sets through one shared
-    cache.  (Entry *construction* happens outside the lock; two racing
-    misses may both build, and the last insert wins — wasted work, never a
-    wrong result, since entries for one key are interchangeable.)
+    an internal lock, so concurrent callers can share one cache.  (Entry
+    *construction* happens outside the lock; two racing misses may both
+    build, and the last insert wins — wasted work, never a wrong result,
+    since entries for one key are interchangeable.)
 
     Parameters
     ----------
@@ -502,27 +505,197 @@ class FusedStackCache:
             self._entries.clear()
 
 
-def _serving_rules(
-    scorers: Sequence[BatchScorer], width: int
-) -> list[LinearDecisionRule]:
-    """Every fusible *width*-column rule served by the distinct scorers.
+def _decision_rule(model: ScorableModel) -> LinearDecisionRule | None:
+    """*model*'s affine decision rule, or ``None`` if it has none."""
+    return model.decision_rule() if hasattr(model, "decision_rule") else None
 
-    Returned id-sorted (the canonical cache order).  Rules of other widths
-    are skipped: they can never score this flush's rows — a *used* model of
-    the wrong width is rejected explicitly before gathering — and stacking
-    them alongside would be a shape error.
+
+def _grown(array: np.ndarray, size: int) -> np.ndarray:
+    """*array* if it has *size* rows, else a zero-padded copy with room for
+    at least twice as many (doubling keeps appends amortised O(1))."""
+    if size <= len(array):
+        return array
+    grown = np.zeros((max(size, 2 * len(array)),) + array.shape[1:], dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown
+
+
+class ServingTable:
+    """Served scorers resolved once into the fused pass's lookup arrays.
+
+    The serving frontend builds one table per registry generation, so each
+    pass resolves every window to its model's parameter row with a single
+    gather, ``positions[np.repeat(rows, lengths), codes]``, instead of
+    re-resolving each request's scorer and model set.
+
+    **Rows** stand for scorers, one per served (user, version) bundle.  Row
+    *r* of :attr:`positions` maps each context code to the *position* of
+    the model that scores it (fall-backs for never-enrolled contexts and the
+    ``use_context=False`` single-model mode already applied by
+    :meth:`BatchScorer.model_by_code`); :attr:`versions` holds each row's
+    bundle version, and :attr:`row_fallback` flags the rows that reach any
+    fallback position.
+
+    **Positions** stand for distinct models.  A model whose
+    :class:`~repro.ml.base.LinearDecisionRule` has the table's feature
+    :attr:`width` is *fused*: its parameter row sits at its position in
+    :attr:`mean`, :attr:`scale`, :attr:`x_offset`, :attr:`coef`,
+    :attr:`y_offset`, :attr:`sign` and :attr:`accept_nonneg`, which start
+    out as the arrays of one :class:`FusedStacks` over every such rule.  Any
+    other model (a forest, a non-linear kernel, a rule of another width) is
+    a *fallback* position (:attr:`fallback`), scored by its own
+    :meth:`~ScorableModel.batch_decisions`; its parameter rows are unused
+    zeros.  :attr:`context_codes` holds each position's model context.
+
+    :meth:`add` appends a row for a scorer the build did not cover (a
+    pinned older version) in amortised O(its models): arrays grow by
+    doubling, and a written row or position never changes, so a pass that
+    holds an older row index stays correct while another appends.  The
+    owner serializes appends.
+
+    Parameters
+    ----------
+    scorers:
+        The scorers to serve; rows ``0, 1, ...`` follow their first
+        occurrences (a repeated scorer shares one row).
+    stack_cache:
+        Optional :class:`FusedStackCache` the build takes its
+        :class:`FusedStacks` from instead of stacking the rules afresh.
+
+    Attributes
+    ----------
+    rows:
+        The owner's lookup keys mapped to rows (the frontend keys by
+        ``(user_id, pinned version or None)``); the table itself never
+        reads it.
     """
-    rules: dict[int, LinearDecisionRule] = {}
-    seen: set[int] = set()
-    for scorer in scorers:
-        if id(scorer) in seen:
-            continue
-        seen.add(id(scorer))
-        for model in scorer.bundle.models.values():
-            rule = model.decision_rule() if hasattr(model, "decision_rule") else None
-            if rule is not None and rule.coef.shape[-1] == width:
-                rules[id(rule)] = rule
-    return sorted(rules.values(), key=id)
+
+    #: Position-indexed arrays, grown together.
+    _POSITION_ARRAYS = (
+        "mean", "scale", "x_offset", "coef", "y_offset", "sign",
+        "accept_nonneg", "context_codes", "fallback",
+    )
+    #: Row-indexed arrays, grown together.
+    _ROW_ARRAYS = ("positions", "row_fallback", "versions")
+
+    def __init__(
+        self,
+        scorers: Sequence[BatchScorer],
+        stack_cache: FusedStackCache | None = None,
+    ) -> None:
+        distinct = list({id(scorer): scorer for scorer in scorers}.values())
+        model_by_rule: dict[int, ScorableModel] = {}
+        rules: dict[int, LinearDecisionRule] = {}
+        for scorer in distinct:
+            for model in scorer.model_by_code():
+                rule = _decision_rule(model)
+                if rule is not None:
+                    rules[id(rule)] = rule
+                    model_by_rule[id(rule)] = model
+        widths = Counter(rule.coef.shape[-1] for rule in rules.values())
+        self.width = widths.most_common(1)[0][0] if widths else 0
+        # Id-sorted: the canonical FusedStacks order (and cache key).
+        fused = sorted(
+            (rule for rule in rules.values() if rule.coef.shape[-1] == self.width),
+            key=id,
+        )
+        if fused:
+            stacks = (
+                stack_cache.stacks_for(fused)
+                if stack_cache is not None
+                else FusedStacks.build(fused)
+            )
+            params = (
+                stacks.mean, stacks.scale, stacks.x_offset, stacks.coef,
+                stacks.y_offset, stacks.sign, stacks.accept_nonneg,
+            )
+        else:
+            params = (np.zeros((0, 0)),) * 4 + (np.zeros(0),) * 2 + (
+                np.zeros(0, dtype=bool),
+            )
+        (
+            self.mean, self.scale, self.x_offset, self.coef,
+            self.y_offset, self.sign, self.accept_nonneg,
+        ) = params
+        self._models = [model_by_rule[id(rule)] for rule in fused]
+        self._position_by_model = {
+            id(model): position for position, model in enumerate(self._models)
+        }
+        self.context_codes = np.fromiter(
+            (CONTEXT_CODES[model.context] for model in self._models),
+            dtype=np.int8,
+            count=len(self._models),
+        )
+        self.fallback = np.zeros(len(self._models), dtype=bool)
+        entries = [
+            [self._position_for(model) for model in scorer.model_by_code()]
+            for scorer in distinct
+        ]
+        self.positions = np.array(entries, dtype=np.intp).reshape(
+            len(distinct), len(CONTEXT_BY_CODE)
+        )
+        self.row_fallback = self.fallback[self.positions].any(axis=1)
+        self.versions = np.fromiter(
+            (scorer.bundle.version for scorer in distinct),
+            dtype=np.int64,
+            count=len(distinct),
+        )
+        self._scorers = distinct
+        self._row_by_scorer = {id(scorer): row for row, scorer in enumerate(distinct)}
+        self.rows: dict = {}
+
+    def __len__(self) -> int:
+        """Rows served."""
+        return len(self._scorers)
+
+    def scorer(self, row: int) -> BatchScorer:
+        """The scorer row *row* stands for."""
+        return self._scorers[row]
+
+    def model(self, position: int) -> ScorableModel:
+        """The model position *position* stands for."""
+        return self._models[position]
+
+    def add(self, scorer: BatchScorer) -> int:
+        """*scorer*'s row, appended (with any new models) if it has none."""
+        row = self._row_by_scorer.get(id(scorer))
+        if row is not None:
+            return row
+        entries = [self._position_for(model) for model in scorer.model_by_code()]
+        row = len(self._scorers)
+        for name in self._ROW_ARRAYS:
+            setattr(self, name, _grown(getattr(self, name), row + 1))
+        self.positions[row] = entries
+        self.row_fallback[row] = self.fallback[entries].any()
+        self.versions[row] = scorer.bundle.version
+        # Published last: the row is complete before anyone can look it up.
+        self._scorers.append(scorer)
+        self._row_by_scorer[id(scorer)] = row
+        return row
+
+    def _position_for(self, model: ScorableModel) -> int:
+        """*model*'s position, appended if it has none."""
+        position = self._position_by_model.get(id(model))
+        if position is not None:
+            return position
+        position = len(self._models)
+        for name in self._POSITION_ARRAYS:
+            setattr(self, name, _grown(getattr(self, name), position + 1))
+        rule = _decision_rule(model)
+        if rule is not None and rule.coef.shape[-1] == self.width:
+            self.mean[position] = rule.mean
+            self.scale[position] = rule.scale
+            self.x_offset[position] = rule.x_offset
+            self.coef[position] = rule.coef
+            self.y_offset[position] = rule.y_offset
+            self.sign[position] = rule.sign
+            self.accept_nonneg[position] = rule.accept_on_nonnegative
+        else:
+            self.fallback[position] = True
+        self.context_codes[position] = CONTEXT_CODES[model.context]
+        self._models.append(model)
+        self._position_by_model[id(model)] = position
+        return position
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,25 +754,36 @@ class StackedScoreResult:
 
 
 def score_stacked(
-    scorers: Sequence[BatchScorer],
+    table: ServingTable,
+    rows: Sequence[int] | np.ndarray,
     stacked: np.ndarray,
     lengths: Sequence[int] | np.ndarray,
     codes: np.ndarray,
-    stack_cache: FusedStackCache | None = None,
 ) -> StackedScoreResult:
     """Score an already-stacked fleet batch in one coalesced pass.
 
-    The columnar twin of :func:`score_requests` (which delegates here):
-    instead of per-request feature arrays, the caller hands one contiguous
-    ``(total_windows, n_features)`` block plus per-request *lengths* —
-    exactly the shape the binary wire codec decodes a batch frame into with
-    :func:`np.frombuffer` views — so the serving hot path never
-    concatenates, copies or materializes per-request objects.
+    The one fused pass behind every authenticate door: the serving
+    frontend calls it with its per-generation :class:`ServingTable`, and
+    :func:`score_requests` with a table over its own scorers.  The caller
+    hands one contiguous ``(total_windows, n_features)`` block plus
+    per-request *lengths* — exactly the shape the binary wire codec decodes
+    a batch frame into with :func:`np.frombuffer` views — so the hot path
+    never concatenates, copies or materializes per-request objects.
+
+    Every window resolves to its model's position with one gather,
+    ``table.positions[np.repeat(rows, lengths), codes]``.  Windows at fused
+    positions are scored in a *single* gather-and-einsum over the whole
+    batch, whatever the number of users and versions; windows at fallback
+    positions (forests, non-linear kernels) take one vectorized
+    :meth:`~ScorableModel.batch_decisions` call per model, still shared
+    across requests.
 
     Parameters
     ----------
-    scorers:
-        One :class:`BatchScorer` per request (duplicates allowed).
+    table:
+        The :class:`ServingTable` holding every request's scorer.
+    rows:
+        Each request's row in *table*.
     stacked:
         The combined feature rows, request slices back to back.
     lengths:
@@ -607,15 +791,15 @@ def score_stacked(
     codes:
         Per-window ``int8`` context codes (already encoded; label input is
         accepted and encoded via :func:`encode_contexts`).
-    stack_cache:
-        Optional :class:`FusedStackCache` reused across flushes.
 
     Returns
     -------
     StackedScoreResult
         Columnar scores/decisions plus the request slice offsets.  Scores
         and decisions are bit-for-bit identical to scoring each request
-        through its own scorer.
+        through its own scorer: the fused pass performs exactly the
+        elementwise standardisation, centring, projection and sign
+        adjustment of the per-model path.
 
     Raises
     ------
@@ -625,10 +809,11 @@ def score_stacked(
     """
     stacked = canonicalize_rows(stacked)
     lengths = np.asarray(lengths, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     n_requests = len(lengths)
-    if len(scorers) != n_requests:
+    if len(rows) != n_requests:
         raise ValueError(
-            f"got {len(scorers)} scorers for {n_requests} request lengths"
+            f"got {len(rows)} table rows for {n_requests} request lengths"
         )
     if len(lengths) and int(lengths.min()) < 0:
         raise ValueError("request lengths must be non-negative")
@@ -644,11 +829,7 @@ def score_stacked(
         raise ValueError(
             f"got {total} stacked feature rows but {len(codes)} context codes"
         )
-    model_versions = np.fromiter(
-        (scorer.bundle.version for scorer in scorers),
-        dtype=np.int64,
-        count=n_requests,
-    )
+    model_versions = table.versions[rows]
     if total == 0:
         return StackedScoreResult(
             scores=np.empty(0),
@@ -658,124 +839,53 @@ def score_stacked(
             offsets=offsets,
         )
 
-    # Resolve every row to its model with array gathers alone.  Each
-    # distinct scorer contributes one row of a code→slot lookup matrix
-    # (its memoised code→model table mapped onto call-local model slots —
-    # O(distinct scorers) cheap Python); the whole fleet batch then
-    # resolves in two vectorized gathers: repeat each request's lut row
-    # over its windows, and index the matrix with (lut row, context code)
-    # pairs.  No per-row Python anywhere.
-    distinct_models: list[ScorableModel] = []
-    slot_by_model_id: dict[int, int] = {}
-    lut_rows: list[list[int]] = []
-    lut_row_by_scorer: dict[int, int] = {}
-    request_lut_rows = np.empty(n_requests, dtype=np.intp)
-    for index in range(n_requests):
-        if not lengths[index]:
-            request_lut_rows[index] = 0
-            continue
-        scorer = scorers[index]
-        lut_row = lut_row_by_scorer.get(id(scorer))
-        if lut_row is None:
-            entry = []
-            for model in scorer.model_by_code():
-                slot = slot_by_model_id.get(id(model))
-                if slot is None:
-                    slot = slot_by_model_id[id(model)] = len(distinct_models)
-                    distinct_models.append(model)
-                entry.append(slot)
-            lut_row = lut_row_by_scorer[id(scorer)] = len(lut_rows)
-            lut_rows.append(entry)
-        request_lut_rows[index] = lut_row
-    lut_matrix = np.asarray(lut_rows, dtype=np.intp)
-    row_slots = lut_matrix[np.repeat(request_lut_rows, lengths), codes]
-    code_by_slot = np.fromiter(
-        (CONTEXT_CODES[model.context] for model in distinct_models),
-        dtype=np.int8,
-        count=len(distinct_models),
-    )
-    model_context_codes = code_by_slot[row_slots]
-
+    positions = table.positions[np.repeat(rows, lengths), codes]
     scores = np.empty(total)
     accepted = np.empty(total, dtype=bool)
-
-    # Split the *used* model slots into fusible (affine decision rule) and
-    # fallback — an O(models) loop, never O(rows).
-    rule_by_slot: list[LinearDecisionRule | None] = [None] * len(distinct_models)
-    fusible = np.zeros(len(distinct_models), dtype=bool)
-    used_slots = np.unique(row_slots)
-    for slot in used_slots:
-        model = distinct_models[slot]
-        rule = model.decision_rule() if hasattr(model, "decision_rule") else None
-        if rule is None:
-            continue
-        if rule.coef.shape[-1] != stacked.shape[1]:
-            # The fallback path rejects this inside scaler.transform;
-            # the fused gather must refuse too, or NumPy broadcasting
-            # (e.g. width-1 rows against d-wide parameters) would
-            # silently score — and possibly accept — malformed probes.
-            raise ValueError(
-                f"feature rows have {stacked.shape[1]} columns but the "
-                f"model for context {model.context.value!r} was trained "
-                f"on {rule.coef.shape[-1]} features"
-            )
-        rule_by_slot[slot] = rule
-        fusible[slot] = True
-
-    # Fallback models (probability-vote forests, non-linear kernels): one
-    # vectorized batch_decisions call per model, shared across requests.
-    all_fusible = bool(fusible[used_slots].all())
-    if not all_fusible:
-        fallback_rows = np.flatnonzero(~fusible[row_slots])
-        for slot, group in _rows_by_slot(row_slots[fallback_rows]):
-            rows = fallback_rows[group]
-            model = distinct_models[slot]
-            scores[rows], accepted[rows] = model.batch_decisions(stacked[rows])
-
-    if fusible.any():
-        if stack_cache is not None:
-            # Stack the whole serving model set, not just this flush's used
-            # subset: the fingerprint then survives per-flush variation in
-            # which contexts the windows resolved to, so repeated fleet
-            # flushes keep hitting one entry until the served models change.
-            stacks = stack_cache.stacks_for(_serving_rules(scorers, stacked.shape[1]))
-        else:
-            stacks = FusedStacks.build(
-                [rule_by_slot[slot] for slot in used_slots if fusible[slot]]
-            )
-        # One parameter row per model, gathered out to one row per window:
-        # the whole fleet batch then reduces in a single einsum.  Each
-        # elementwise operation matches the per-model path exactly
-        # (standardise, centre, project, sign-adjust), so the fused scores
-        # are bit-for-bit identical.
-        position_by_slot = np.zeros(len(distinct_models), dtype=np.intp)
-        for slot in used_slots:
-            if fusible[slot]:
-                position_by_slot[slot] = stacks.position_by_id[id(rule_by_slot[slot])]
-        if all_fusible:
-            row_index: np.ndarray | slice = slice(None)
-            rows_features = stacked
-            gather = position_by_slot[row_slots]
-        else:
-            row_index = np.flatnonzero(fusible[row_slots])
-            rows_features = stacked[row_index]
-            gather = position_by_slot[row_slots[row_index]]
-        mean = stacks.mean[gather]
-        scale = stacks.scale[gather]
-        x_offset = stacks.x_offset[gather]
-        coef = stacks.coef[gather]
-        y_offset = stacks.y_offset[gather]
-        sign = stacks.sign[gather]
-        accept_nonneg = stacks.accept_nonneg[gather]
-        centred = (rows_features - mean) / scale - x_offset
-        raw = np.einsum("ij,ij->i", centred, coef) + y_offset
-        scores[row_index] = sign * raw
-        accepted[row_index] = np.where(accept_nonneg, raw >= 0.0, raw < 0.0)
+    fused: np.ndarray | slice = slice(None)
+    fallback = None
+    if table.row_fallback[rows].any():
+        is_fallback = table.fallback[positions]
+        fused = np.flatnonzero(~is_fallback)
+        fallback = np.flatnonzero(is_fallback)
+    fused_positions = positions[fused]
+    if len(fused_positions) and stacked.shape[1] != table.width:
+        # The fallback path rejects this inside scaler.transform; the fused
+        # gather must refuse too, or NumPy broadcasting (e.g. width-1 rows
+        # against d-wide parameters) would silently score — and possibly
+        # accept — malformed probes.
+        context = CONTEXT_BY_CODE[table.context_codes[fused_positions[0]]]
+        raise ValueError(
+            f"feature rows have {stacked.shape[1]} columns but the model "
+            f"for context {context.value!r} was trained on {table.width} "
+            f"features"
+        )
+    if fallback is not None:
+        for position, group in _rows_by_slot(positions[fallback]):
+            windows = fallback[group]
+            scores[windows], accepted[windows] = table.model(
+                position
+            ).batch_decisions(stacked[windows])
+    if len(fused_positions):
+        # One parameter row per window, then the whole batch reduces in a
+        # single einsum.  Each elementwise operation matches the per-model
+        # path exactly, so the fused scores are bit-for-bit identical.
+        centred = (stacked[fused] - table.mean[fused_positions]) / table.scale[
+            fused_positions
+        ] - table.x_offset[fused_positions]
+        raw = (
+            np.einsum("ij,ij->i", centred, table.coef[fused_positions])
+            + table.y_offset[fused_positions]
+        )
+        scores[fused] = table.sign[fused_positions] * raw
+        accepted[fused] = np.where(
+            table.accept_nonneg[fused_positions], raw >= 0.0, raw < 0.0
+        )
 
     return StackedScoreResult(
         scores=scores,
         accepted=accepted,
-        model_context_codes=model_context_codes,
+        model_context_codes=table.context_codes[positions],
         model_versions=model_versions,
         offsets=offsets,
     )
@@ -796,9 +906,9 @@ def score_requests(
     arrays (:func:`encode_contexts`); the serving path passes codes, so
     resolving every window to its model is a pure array gather — no per-row
     Python anywhere.  The per-request inputs are stacked into one fleet
-    batch and scored by :func:`score_stacked` (callers that already hold a
-    contiguous block — the binary wire codec — call it directly and skip
-    the copy).
+    batch, a :class:`ServingTable` is built over *scorers*, and the batch
+    is scored by :func:`score_stacked` — the very pass the serving
+    frontend runs against its per-generation table.
 
     Every row in the combined batch whose resolved model exposes a
     :class:`~repro.ml.base.LinearDecisionRule` — the paper's kernel-ridge
@@ -820,11 +930,11 @@ def score_requests(
     scorers, features_list, contexts_list:
         One entry per concurrent request (equal lengths required).
     stack_cache:
-        Optional :class:`FusedStackCache`.  When given, the stacked
-        parameter matrices of the fused model set are reused across calls
-        instead of being rebuilt on every flush; results are identical
-        either way because the cached stacks are built from the very same
-        immutable rules.
+        Optional :class:`FusedStackCache`.  When given, the table takes the
+        stacked parameter matrices of the fused model set from it instead
+        of rebuilding them on every call; results are identical either way
+        because the cached stacks are built from the very same immutable
+        rules.
 
     Returns
     -------
@@ -871,7 +981,9 @@ def score_requests(
         ]
     stacked = np.vstack([features for features, _ in batches if len(features)])
     codes = np.concatenate([codes for _, codes in batches])
-    return score_stacked(scorers, stacked, lengths, codes, stack_cache).results()
+    table = ServingTable(scorers, stack_cache)
+    rows = [table.add(scorer) for scorer in scorers]
+    return score_stacked(table, rows, stacked, lengths, codes).results()
 
 
 def score_fleet(

@@ -29,8 +29,9 @@ but absent from the paper's prototype:
   either codec;
 * :mod:`repro.service.frontend` — the micro-batching front door: validates,
   routes and coalesces concurrent authenticate requests into single
-  vectorized scoring passes (reusing fused parameter stacks across flushes
-  via :class:`~repro.core.scoring.FusedStackCache`), with telemetry /
+  vectorized scoring passes (reading every served model through one
+  :class:`~repro.core.scoring.ServingTable` per registry generation), with
+  telemetry /
   error-mapping / per-user serialization middleware and admission-controlled
   queuing (:class:`~repro.service.frontend.MicroBatchQueue`, data plane
   only);
@@ -72,6 +73,7 @@ from repro.core.scoring import (
     BatchScorer,
     BatchScoreResult,
     FusedStackCache,
+    ServingTable,
     score_fleet,
     score_requests,
     score_stacked,
@@ -186,6 +188,7 @@ __all__ = [
     "ServiceClient",
     "ServiceFrontend",
     "ServiceHTTPServer",
+    "ServingTable",
     "ShardRouter",
     "ShardUnavailable",
     "SharedTokenBucket",

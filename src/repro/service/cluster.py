@@ -5,7 +5,7 @@ through the binary serving path, yet 32 concurrent clients through the
 threaded HTTP server aggregate a fraction of that — every handler thread
 shares one interpreter.  The serving stack is already shard-local by
 construction (per-user frontend locks, a stateless fused pass, a
-generation-keyed stack cache), so this module scales it across processes
+generation-keyed serving table), so this module scales it across processes
 without touching it:
 
 * :class:`HashRing` — a deterministic consistent-hash ring (SHA-256,

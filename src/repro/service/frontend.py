@@ -25,10 +25,9 @@ paper's kernel-ridge configuration), and object requests get their
 responses fanned back out in request order with
 :meth:`~repro.service.protocol.ColumnarAuthResult.responses`.
 
-The coalesced pass reuses the stacked model parameters across flushes
-through a :class:`~repro.core.scoring.FusedStackCache` keyed by the serving
-model set, invalidated whenever the model registry's generation moves
-(publish / rollback / detector publish).
+The pass reads every served model through the frontend's serving table,
+rebuilt only when the registry's generation moves (see
+:class:`ServiceFrontend`).
 
 :class:`MicroBatchQueue` adds the asynchronous variant: concurrent callers
 enqueue single requests and receive futures, while a background worker
@@ -45,14 +44,14 @@ import queue
 import threading
 import weakref
 from concurrent.futures import Future
-from itertools import count
+from itertools import count, repeat
 from time import monotonic, perf_counter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.scoring import (
-    FusedStackCache,
+    ServingTable,
     encode_contexts,
     offsets_from_lengths,
     score_stacked,
@@ -77,6 +76,18 @@ from repro.service.tracing import SPAN_FUSED_PASS, SPAN_QUEUE_WAIT
 class ServiceFrontend:
     """Validates, routes and micro-batches protocol requests to a gateway.
 
+    Every authenticate pass reads its models through one **serving table**
+    (:class:`~repro.core.scoring.ServingTable`): every registry user's
+    newest active version, with its fused parameter rows, built on the
+    first pass after the registry's generation or the gateway's
+    ``use_context`` moves and checked under the pass's user locks.  A pass
+    resolves each request to its row with one dict lookup; a pinned
+    version's row is appended on first use, never by a rebuild, and a user
+    the table does not know is resolved through
+    :meth:`~repro.service.gateway.AuthenticationGateway.scorer_for`, whose
+    error answers that request alone.  Each build also keeps the registry
+    users' per-user locks alive, so frames reuse them.
+
     Parameters
     ----------
     gateway:
@@ -85,25 +96,29 @@ class ServiceFrontend:
     telemetry:
         Optional telemetry hub for frontend metrics; defaults to the
         gateway's hub so frontend and backend metrics land in one snapshot.
-    stack_cache:
-        Optional :class:`~repro.core.scoring.FusedStackCache` reused across
-        coalesced flushes (a fresh one is created when omitted).  The cache
-        is cleared automatically whenever the gateway registry's
-        :attr:`~repro.service.registry.ModelRegistry.generation` moves
-        (publish, rollback, detector publish), so stale stacks never
-        accumulate after a retrain.
+
+    Attributes
+    ----------
+    table_hits, table_misses:
+        Authenticate passes served by the current serving table, and
+        serving-table builds (the ``frontend.stack_cache.hits`` /
+        ``.misses`` counters count the same events).
     """
 
     def __init__(
         self,
         gateway: AuthenticationGateway | None = None,
         telemetry: TelemetryHub | None = None,
-        stack_cache: FusedStackCache | None = None,
     ) -> None:
         self.gateway = gateway if gateway is not None else AuthenticationGateway()
         self.telemetry = telemetry if telemetry is not None else self.gateway.telemetry
-        self.stack_cache = stack_cache if stack_cache is not None else FusedStackCache()
-        self._stack_generation = self.gateway.registry.generation
+        # The serving table and the (registry generation, use_context) it
+        # was built for; built, validated and extended under _table_lock.
+        self._table: ServingTable | None = None
+        self._table_key: tuple[int, bool] | None = None
+        self._table_lock = threading.Lock()
+        self.table_hits = 0
+        self.table_misses = 0
         # Set by the transport / fleet when request tracing is enabled;
         # ``None`` keeps the scoring hot path byte-identical to untraced.
         self.tracer = None
@@ -120,6 +135,11 @@ class ServiceFrontend:
             weakref.WeakValueDictionary()
         )
         self._locks_guard = threading.Lock()
+        # Strong references to the locks of the serving table's users,
+        # replaced with each build: frames for registry users reuse their
+        # lock objects instead of allocating one per request.  Unknown
+        # (possibly attacker-chosen) ids never get one.
+        self._user_locks: dict[str, threading.Lock] = {}
 
     # ------------------------------------------------------------------ #
     # middleware plumbing
@@ -133,17 +153,37 @@ class ServiceFrontend:
                 self._locks[user_id] = lock
             return lock
 
-    def _refresh_stack_cache(self) -> None:
-        """Drop cached fused stacks once the registry's generation moved.
+    def _serving_table(self) -> tuple[ServingTable, bool]:
+        """The serving table for the current registry state, and whether
+        this call built it.
 
-        A registry change (publish / rollback / detector publish) may have
-        retired some served models; clearing keeps the cache holding only
-        model sets that can still be served.
+        Rebuilt when the registry's generation or the gateway's
+        ``use_context`` moved since the last build; the new table serves
+        every registry user's newest active version, keyed
+        ``(user_id, None)``.  The caller holds ``_table_lock``.
         """
-        generation = self.gateway.registry.generation
-        if generation != self._stack_generation:
-            self.stack_cache.clear()
-            self._stack_generation = generation
+        gateway = self.gateway
+        # Read before building: a publish racing the build leaves a stale
+        # key behind, so the next pass rebuilds rather than missing it.
+        key = (gateway.registry.generation, gateway.use_context)
+        if self._table is not None and self._table_key == key:
+            return self._table, False
+        users, scorers = [], []
+        for user in gateway.registry.users():
+            try:
+                scorers.append(gateway.scorer_for(user))
+            except Exception:
+                # E.g. every version retired: left out, so each of its
+                # requests meets the same error alone on a table miss.
+                continue
+            users.append(user)
+        table = ServingTable(scorers)
+        table.rows = {
+            (user, None): table.add(scorer) for user, scorer in zip(users, scorers)
+        }
+        self._user_locks = {user: self._lock_for(user) for user in users}
+        self._table, self._table_key = table, key
+        return table, True
 
     def _error(self, kind: str, error: Exception, user_id: str | None) -> ErrorResponse:
         self.telemetry.increment("frontend.errors")
@@ -352,7 +392,8 @@ class ServiceFrontend:
         )
         with self.telemetry.timer("frontend.authenticate"):
             users = set().union(*(columns.user_ids for columns, _, _ in blocks))
-            locks = [self._lock_for(user) for user in sorted(users)]
+            held = self._user_locks
+            locks = [held.get(user) or self._lock_for(user) for user in sorted(users)]
             for lock in locks:
                 lock.acquire()
             try:
@@ -385,10 +426,10 @@ class ServiceFrontend:
                 if detect.all():
                     codes = self.gateway.detect_context_codes(columns.features)
                 else:
-                    rows = np.repeat(detect, lengths)
+                    detected = np.repeat(detect, lengths)
                     codes = codes.copy()
-                    codes[rows] = self.gateway.detect_context_codes(
-                        columns.features[rows]
+                    codes[detected] = self.gateway.detect_context_codes(
+                        columns.features[detected]
                     )
             except Exception:
                 codes = (
@@ -407,26 +448,35 @@ class ServiceFrontend:
                             "authenticate", error, user_ids[index]
                         )
 
-        # 2. Resolve each surviving request's served scorer; a missing
-        #    model rejects that request alone.
-        live: list[int] = []
-        scorers = []
-        for index in range(n_requests):
-            if index in errors:
-                continue
-            try:
-                scorer = self.gateway.scorer_for(
-                    user_ids[index], columns.version_for(index)
-                )
-            except Exception as error:
-                errors[index] = self._error("authenticate", error, user_ids[index])
-                continue
-            live.append(index)
-            scorers.append(scorer)
+        # 2. Look up each surviving request's row in the serving table,
+        #    validated here, under the pass's user locks, so no user of the
+        #    pass can publish before it is scored.  A request the table has
+        #    no row for (a pinned version's first use, an unknown user)
+        #    resolves through the gateway: a new row is appended, or the
+        #    KeyError rejects that request alone.
+        keys = list(zip(user_ids, columns.versions or repeat(None, n_requests)))
+        with self._table_lock:
+            table, built = self._serving_table()
+            rows = list(map(table.rows.get, keys))
+            if None in rows:
+                for index, key in enumerate(keys):
+                    if rows[index] is not None or index in errors:
+                        continue
+                    try:
+                        row = table.add(self.gateway.scorer_for(*key))
+                    except Exception as error:
+                        errors[index] = self._error("authenticate", error, key[0])
+                        continue
+                    rows[index] = table.rows[key] = row
+            cache_hits, cache_misses = int(not built), int(built)
+            self.table_hits += cache_hits
+            self.table_misses += cache_misses
+        self.telemetry.increment("frontend.stack_cache.hits", cache_hits)
+        self.telemetry.increment("frontend.stack_cache.misses", cache_misses)
 
         scored_lengths = np.zeros(n_requests, dtype=np.intp)
         model_versions = np.zeros(n_requests, dtype=np.int64)
-        if not live:
+        if len(errors) == n_requests:
             return ColumnarAuthResult(
                 user_ids=user_ids,
                 scores=np.empty(0),
@@ -437,11 +487,14 @@ class ServiceFrontend:
                 errors=errors,
             )
 
-        if len(live) == n_requests:
+        if not errors:
             # The hot common case: every request survives, so the wire
             # block feeds the fused pass as-is — zero copies.
+            live = list(range(n_requests))
             stacked, live_lengths, live_codes = columns.features, lengths, codes
         else:
+            live = [index for index in range(n_requests) if index not in errors]
+            rows = [rows[index] for index in live]
             keep = np.zeros(columns.n_windows, dtype=bool)
             for index in live:
                 keep[offsets[index] : offsets[index + 1]] = True
@@ -453,14 +506,12 @@ class ServiceFrontend:
         #    the shared pass fails (e.g. one request's rows do not match
         #    its model's width), score each request individually so one
         #    bad request cannot poison its neighbours.
-        self._refresh_stack_cache()
-        hits, misses = self.stack_cache.hits, self.stack_cache.misses
         fused_started = perf_counter() if traces else 0.0
         fused = True
         try:
             with self.telemetry.timer("authenticate"):
                 stacked_result = score_stacked(
-                    scorers, stacked, live_lengths, live_codes, self.stack_cache
+                    table, rows, stacked, live_lengths, live_codes
                 )
         except Exception:
             fused = False
@@ -470,7 +521,7 @@ class ServiceFrontend:
                 start, stop = live_offsets[position], live_offsets[position + 1]
                 try:
                     with self.telemetry.timer("authenticate"):
-                        result = scorers[position].score(
+                        result = table.scorer(rows[position]).score(
                             stacked[start:stop], live_codes[start:stop]
                         )
                 except Exception as error:
@@ -494,10 +545,6 @@ class ServiceFrontend:
             model_versions[live] = stacked_result.model_versions
             self.telemetry.increment("frontend.coalesced_batches")
             self.telemetry.increment("frontend.coalesced_windows", len(scores))
-        cache_hits = self.stack_cache.hits - hits
-        cache_misses = self.stack_cache.misses - misses
-        self.telemetry.increment("frontend.stack_cache.hits", cache_hits)
-        self.telemetry.increment("frontend.stack_cache.misses", cache_misses)
         if traces:
             fused_s = perf_counter() - fused_started
             flush_id = next(self._flush_ids)

@@ -364,10 +364,6 @@ class AuthenticateColumns:
     def n_windows(self) -> int:
         return len(self.features)
 
-    def version_for(self, index: int) -> int | None:
-        """Request *index*'s pinned model version (``None`` = newest)."""
-        return None if self.versions is None else self.versions[index]
-
 
 @dataclass(frozen=True, eq=False)
 class ColumnarAuthResult:

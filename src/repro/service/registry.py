@@ -286,9 +286,9 @@ class ModelRegistry:
         """Monotonic counter of serving-state changes.
 
         Bumped by every :meth:`publish`, :meth:`publish_context_detector`,
-        :meth:`rollback` and :meth:`load` that changed what the registry
-        serves.  Caches keyed on the served model set (the frontend's
-        fused-stack cache, the gateway's scorer cache) compare generations
+        :meth:`rollback`, :meth:`evict` and :meth:`load` that changed what
+        the registry serves.  Caches keyed on the served model set (the frontend's
+        serving table, the gateway's scorer cache) compare generations
         to decide when to invalidate without subscribing to every mutation.
         """
         with self._lock:

@@ -250,3 +250,104 @@ class TestContextEncoding:
         np.testing.assert_array_equal(by_labels.scores, by_codes.scores)
         np.testing.assert_array_equal(by_labels.accepted, by_codes.accepted)
         assert by_labels.model_contexts == by_codes.model_contexts
+
+
+def trained_bundle(d=6, classifier_factory=None, owner="owner"):
+    """A bundle for *owner*, trained like the ``bundle`` fixture."""
+    server = AuthenticationServer(seed=2)
+    if classifier_factory is not None:
+        server = AuthenticationServer(seed=2, classifier_factory=classifier_factory)
+    users = (("owner", 0.0, 1), ("other1", 3.0, 2), ("other2", 5.0, 3))
+    for context in ("stationary", "moving"):
+        for uid, mean, seed in users:
+            server.upload_features(
+                uid, matrix(uid, mean, d=d, context=context, seed=seed)
+            )
+    return server.train_authentication_models(owner)
+
+
+class TestServingTable:
+    """The fused pass's lookup arrays (:class:`ServingTable`)."""
+
+    def _score(self, table, rows, requests):
+        from repro.core.scoring import encode_contexts, score_stacked
+
+        return score_stacked(
+            table,
+            rows,
+            np.vstack([features for features, _ in requests]),
+            [len(features) for features, _ in requests],
+            np.concatenate([encode_contexts(contexts) for _, contexts in requests]),
+        ).results()
+
+    def _requests(self, n, d=6, seed=31):
+        rng = np.random.default_rng(seed)
+        contexts = [CoarseContext.STATIONARY, CoarseContext.MOVING] * 3
+        return [(rng.normal(0.0, 2.0, size=(6, d)), contexts) for _ in range(n)]
+
+    def _assert_matches(self, scorers, requests, results):
+        for scorer, (features, contexts), result in zip(scorers, requests, results):
+            expected = scorer.score(features, contexts)
+            np.testing.assert_array_equal(result.scores, expected.scores)
+            np.testing.assert_array_equal(result.accepted, expected.accepted)
+            assert result.model_contexts == expected.model_contexts
+            assert result.model_version == expected.model_version
+
+    def test_fused_and_fallback_rows_match_each_scorer(self, bundle):
+        from repro.core.scoring import ServingTable
+        from repro.ml.forest import RandomForestClassifier
+
+        linear = BatchScorer(bundle)
+        forest = BatchScorer(
+            trained_bundle(
+                classifier_factory=lambda: RandomForestClassifier(
+                    n_estimators=5, max_depth=4, random_state=3
+                ),
+                owner="other1",
+            )
+        )
+        table = ServingTable([linear, forest, linear])
+        assert len(table) == 2
+        assert table.row_fallback.tolist() == [False, True]
+        assert table.fallback[table.positions[1]].all()
+        scorers = [linear, forest, linear]
+        requests = self._requests(3)
+        self._assert_matches(scorers, requests, self._score(table, [0, 1, 0], requests))
+
+    def test_add_appends_a_row_without_touching_the_built_stacks(self, bundle):
+        from repro.core.scoring import FusedStackCache, ServingTable
+
+        first = BatchScorer(bundle)
+        cache = FusedStackCache()
+        table = ServingTable([first], stack_cache=cache)
+        stacks = cache.stacks_for(
+            sorted(
+                (model.decision_rule() for model in bundle.models.values()), key=id
+            )
+        )
+        means = stacks.mean.copy()
+        second = BatchScorer(trained_bundle(owner="other2"))
+        assert table.add(second) == 1
+        assert table.add(second) == 1
+        assert table.add(first) == 0
+        assert not table.row_fallback[:2].any()
+        np.testing.assert_array_equal(stacks.mean, means)
+        requests = self._requests(2)
+        self._assert_matches(
+            [second, first], requests, self._score(table, [1, 0], requests)
+        )
+
+    def test_rule_of_another_width_scores_through_its_own_model(self, bundle):
+        from repro.core.scoring import ServingTable
+
+        wide = [BatchScorer(bundle), BatchScorer(trained_bundle(owner="other1"))]
+        narrow = BatchScorer(trained_bundle(d=4))
+        table = ServingTable(wide + [narrow])
+        assert table.width == 6
+        assert table.row_fallback.tolist() == [False, False, True]
+        requests = self._requests(1, d=4)
+        self._assert_matches([narrow], requests, self._score(table, [2], requests))
+        with pytest.raises(ValueError, match="trained on 6 features"):
+            self._score(table, [0], requests)
+        with pytest.raises(ValueError):
+            self._score(table, [2], self._requests(1))

@@ -638,6 +638,12 @@ class TestAdmissionControl:
 
 
 class TestFusedStackCacheIntegration:
+    """The serving table: one build per registry generation, then hits.
+
+    ``frontend.stack_cache.*`` count serving-table events: a hit is a pass
+    served by the current table, a miss is a table build.
+    """
+
     def _requests(self, frontend, seed):
         probes = {
             uid: matrix(uid, mean, n=6, seed=seed + offset)
@@ -659,21 +665,21 @@ class TestFusedStackCacheIntegration:
     def test_repeated_flushes_hit_the_cache_with_identical_scores(self, frontend):
         self._trained(frontend)
         first = frontend.submit_many(self._requests(frontend, seed=40))
-        assert frontend.stack_cache.misses >= 1
-        hits_before = frontend.stack_cache.hits
+        assert frontend.table_misses == 1
+        hits_before = frontend.table_hits
         second = frontend.submit_many(self._requests(frontend, seed=40))
-        assert frontend.stack_cache.hits == hits_before + 1
-        assert len(frontend.stack_cache) == 1
+        assert frontend.table_hits == hits_before + 1
+        assert frontend.table_misses == 1
         for a, b in zip(first, second):
             np.testing.assert_array_equal(a.scores, b.scores)
         counters = frontend.gateway.snapshot()["counters"]
-        assert counters["frontend.stack_cache.hits"] == frontend.stack_cache.hits
-        assert counters["frontend.stack_cache.misses"] == frontend.stack_cache.misses
+        assert counters["frontend.stack_cache.hits"] == frontend.table_hits
+        assert counters["frontend.stack_cache.misses"] == frontend.table_misses
 
     def test_cached_flush_matches_per_request_gateway_scores(self, frontend):
         self._trained(frontend)
         requests = self._requests(frontend, seed=50)
-        frontend.submit_many(requests)  # warm the cache
+        frontend.submit_many(requests)  # build the table
         for request, response in zip(requests, frontend.submit_many(requests)):
             expected = frontend.gateway.scorer_for(request.user_id).score(
                 request.features, list(request.contexts)
@@ -685,15 +691,14 @@ class TestFusedStackCacheIntegration:
         self._trained(frontend)
         requests = self._requests(frontend, seed=60)
         frontend.submit_many(requests)
-        assert len(frontend.stack_cache) == 1
+        misses_before = frontend.table_misses
         # A drift retrain publishes a new version -> generation moves.
         frontend.submit(
             DriftReport(user_id="alice", matrix=matrix("alice", 0.3, n=30, seed=61))
         )
         responses = frontend.submit_many(requests)
         assert all(isinstance(r, AuthenticationResponse) for r in responses)
-        # The old entry was dropped; the new model set occupies one entry.
-        assert len(frontend.stack_cache) == 1
+        assert frontend.table_misses == misses_before + 1
         assert responses[0].model_version == 2  # alice is served the retrain
 
     def test_rollback_invalidates_the_cache(self, frontend):
@@ -703,12 +708,223 @@ class TestFusedStackCacheIntegration:
         )
         requests = self._requests(frontend, seed=63)
         frontend.submit_many(requests)
-        entries_before = len(frontend.stack_cache)
-        assert entries_before >= 1
+        misses_before = frontend.table_misses
         frontend.submit(RollbackRequest(user_id="alice"))
         responses = frontend.submit_many(requests)
         assert all(isinstance(r, AuthenticationResponse) for r in responses)
+        assert frontend.table_misses == misses_before + 1
         assert responses[0].model_version == 1  # alice serves v1 again
+
+
+def assert_matches_reference(frontend, request, response):
+    """*response* equals the per-request gateway path's answer bit for bit."""
+    try:
+        expected = frontend.gateway._handle_authenticate(request)
+    except Exception as error:
+        assert isinstance(response, ErrorResponse), response
+        assert response.error == type(error).__name__
+        assert response.message == str(error)
+        return
+    assert isinstance(response, AuthenticationResponse), response
+    np.testing.assert_array_equal(response.scores, expected.scores)
+    np.testing.assert_array_equal(response.accepted, expected.accepted)
+    assert response.result.model_contexts == expected.result.model_contexts
+    assert response.model_version == expected.model_version
+
+
+def misses(frontend):
+    return frontend.telemetry.counter_value("frontend.stack_cache.misses")
+
+
+class TestServingTable:
+    """Pinned versions, errors and invalidation through the fused pass."""
+
+    def _fleet(self, frontend):
+        """alice at v2 (v1 still published), bg1 and bg2 at v1."""
+        train_alice(frontend)
+        for uid in ("bg1", "bg2"):
+            frontend.gateway.train(uid)
+        frontend.submit(
+            DriftReport(user_id="alice", matrix=matrix("alice", 0.3, n=30, seed=70))
+        )
+
+    def _mixed(self):
+        rng = np.random.default_rng(71)
+        contexts = (CoarseContext.STATIONARY, CoarseContext.MOVING) * 2
+
+        def request(user_id, version=None, n=4):
+            return AuthenticateRequest(
+                user_id=user_id,
+                features=rng.normal(0.0, 2.0, size=(n, 5)),
+                contexts=contexts[:n],
+                version=version,
+            )
+
+        return [
+            request("alice", version=1),  # an older pinned version
+            request("alice"),
+            request("bg1"),
+            request("alice", version=9),  # never published
+            request("ghost"),  # unknown user
+            request("bg2", n=0),  # zero windows
+            request("alice", version=1),
+            request("bg2", version=1),  # pins the serving version
+        ]
+
+    def _columns(self, requests):
+        from repro.service.protocol import AuthenticateColumns
+
+        return AuthenticateColumns(
+            user_ids=tuple(r.user_id for r in requests),
+            features=np.vstack([r.features.reshape(-1, 5) for r in requests]),
+            lengths=np.array([len(r.features) for r in requests]),
+            context_codes=np.concatenate([r.context_codes for r in requests]),
+            versions=tuple(r.version for r in requests),
+        )
+
+    def test_pinned_versions_and_errors_match_the_per_request_path(self, frontend):
+        self._fleet(frontend)
+        requests = self._mixed()
+        before = misses(frontend)
+        objects = frontend.submit_many(requests)
+        columnar = frontend.submit_columns(self._columns(requests)).responses()
+        objects_again = frontend.submit_many(requests)
+        # One build for the new generation; pinned rows are appended to it.
+        assert misses(frontend) - before == 1
+        assert frontend.telemetry.counter_value("frontend.coalesced_batches") == 3
+        for responses in (objects, columnar, objects_again):
+            for request, response in zip(requests, responses):
+                assert_matches_reference(frontend, request, response)
+        assert [type(r).__name__ for r in objects] == [
+            "AuthenticationResponse",
+            "AuthenticationResponse",
+            "AuthenticationResponse",
+            "ErrorResponse",
+            "ErrorResponse",
+            "AuthenticationResponse",
+            "AuthenticationResponse",
+            "AuthenticationResponse",
+        ]
+        assert [r.model_version for r in objects if not isinstance(r, ErrorResponse)] == [
+            1, 2, 1, 1, 1, 1,
+        ]
+
+    def test_registry_users_keep_their_locks_between_passes(self, frontend):
+        import gc
+        import weakref
+
+        self._fleet(frontend)
+        requests = self._mixed()
+        frontend.submit_many(requests)
+        alice, ghost = (weakref.ref(frontend._lock_for(u)) for u in ("alice", "ghost"))
+        gc.collect()
+        # A registry user's lock outlives the pass, so the next frame
+        # reuses it; an unknown id's lock is still reclaimed.
+        assert alice() is not None and ghost() is None
+        frontend.submit_many(requests)
+        assert frontend._lock_for("alice") is alice()
+
+    def _probe(self, frontend, **kwargs):
+        rng = np.random.default_rng(72)
+        return [
+            AuthenticateRequest(
+                user_id=uid,
+                features=rng.normal(mean, 1.0, size=(4, 5)),
+                **kwargs,
+            )
+            for uid, mean in (("alice", 0.0), ("bg1", 4.0), ("bg2", 6.0))
+        ]
+
+    def _one_rebuild(self, frontend, change, requests):
+        frontend.submit_many(requests)
+        before = misses(frontend)
+        change()
+        responses = frontend.submit_many(requests)
+        assert misses(frontend) - before == 1
+        for request, response in zip(requests, responses):
+            assert_matches_reference(frontend, request, response)
+        frontend.submit_many(requests)
+        assert misses(frontend) - before == 1
+        return responses
+
+    def test_publish_rebuilds_once(self, frontend):
+        self._fleet(frontend)
+        contexts = (CoarseContext.STATIONARY,) * 4
+        responses = self._one_rebuild(
+            frontend,
+            lambda: frontend.submit(
+                DriftReport(user_id="bg1", matrix=matrix("bg1", 4.2, n=30, seed=73))
+            ),
+            self._probe(frontend, contexts=contexts),
+        )
+        assert responses[1].model_version == 2
+
+    def test_rollback_rebuilds_once(self, frontend):
+        self._fleet(frontend)
+        contexts = (CoarseContext.MOVING,) * 4
+        responses = self._one_rebuild(
+            frontend,
+            lambda: frontend.submit_control(RollbackRequest(user_id="alice")),
+            self._probe(frontend, contexts=contexts),
+        )
+        assert responses[0].model_version == 1
+
+    def test_fleet_wide_eviction_rebuilds_once(self, frontend):
+        self._fleet(frontend)
+        contexts = (CoarseContext.STATIONARY,) * 4
+        requests = self._probe(frontend, contexts=contexts, version=None)
+        pinned = AuthenticateRequest(
+            user_id="alice",
+            features=requests[0].features,
+            contexts=contexts,
+            version=1,
+        )
+        requests.append(pinned)
+        assert isinstance(frontend.submit_many(requests)[-1], AuthenticationResponse)
+        # Takes no user lock; drops alice's v1 while its row is in the table.
+        responses = self._one_rebuild(
+            frontend,
+            lambda: frontend.gateway.registry.evict(max_versions=1, user_id=None),
+            requests,
+        )
+        assert isinstance(responses[-1], ErrorResponse)
+        assert responses[-1].error == "KeyError"
+
+    def test_detector_publish_rebuilds_once(self, frontend):
+        self._fleet(frontend)
+        training = matrix("alice", 0.0, n=40, context="stationary", seed=74).concatenate(
+            matrix("alice", 5.0, n=40, context="moving", seed=75)
+        )
+        frontend.gateway.train_context_detector(training)
+        flipped = matrix("alice", 0.0, n=40, context="moving", seed=74).concatenate(
+            matrix("alice", 5.0, n=40, context="stationary", seed=75)
+        )
+        before = frontend.submit_many(self._probe(frontend))
+        responses = self._one_rebuild(
+            frontend,
+            lambda: frontend.gateway.train_context_detector(flipped),
+            self._probe(frontend),
+        )
+        # The new detector labels the same windows the other way round.
+        assert [r.result.model_contexts for r in responses] != [
+            r.result.model_contexts for r in before
+        ]
+
+    def test_use_context_flip_rebuilds_once(self, frontend):
+        self._fleet(frontend)
+        contexts = (CoarseContext.MOVING,) * 4
+
+        def flip():
+            frontend.gateway.use_context = False
+
+        responses = self._one_rebuild(
+            frontend, flip, self._probe(frontend, contexts=contexts)
+        )
+        # Without contexts the stationary model scores every window.
+        assert all(
+            r.result.model_contexts == (CoarseContext.STATIONARY,) * 4
+            for r in responses
+        )
 
 
 class TestColumnarDoor:
@@ -747,17 +963,19 @@ class TestColumnarDoor:
         ]
 
     def test_columnar_results_match_submit_many_bit_for_bit(self, frontend):
+        # Both doors run the same pass, so each is held against the
+        # per-request gateway path rather than against the other.
         requests = self._requests(frontend)
-        reference = frontend.submit_many(requests)
+        reference = [frontend.gateway._handle_authenticate(r) for r in requests]
         result = frontend.submit_columns(self._columns(requests))
         assert not result.errors
-        responses = result.responses()
-        for expected, actual in zip(reference, responses):
-            assert isinstance(actual, AuthenticationResponse)
-            np.testing.assert_array_equal(actual.scores, expected.scores)
-            np.testing.assert_array_equal(actual.accepted, expected.accepted)
-            assert actual.result.model_contexts == expected.result.model_contexts
-            assert actual.model_version == expected.model_version
+        for responses in (result.responses(), frontend.submit_many(requests)):
+            for expected, actual in zip(reference, responses):
+                assert isinstance(actual, AuthenticationResponse)
+                np.testing.assert_array_equal(actual.scores, expected.scores)
+                np.testing.assert_array_equal(actual.accepted, expected.accepted)
+                assert actual.result.model_contexts == expected.result.model_contexts
+                assert actual.model_version == expected.model_version
 
     def test_unknown_user_errors_in_place_without_costing_neighbours(self, frontend):
         requests = self._requests(frontend, users=("alice", "ghost", "alice"))
@@ -792,6 +1010,9 @@ class TestColumnarDoor:
         requests = self._requests(frontend)
         result_counters = {}
         for label, submit in (
+            ("reference", lambda: [
+                frontend.gateway._handle_authenticate(r) for r in requests
+            ]),
             ("objects", lambda: frontend.submit_many(requests)),
             ("columns", lambda: frontend.submit_columns(self._columns(requests))),
         ):
@@ -812,6 +1033,9 @@ class TestColumnarDoor:
                 for name, value in before.items()
             }
         assert result_counters["objects"] == result_counters["columns"]
+        # The per-request path counts the same decisions.
+        for name in ("auth.windows", "auth.accepted", "auth.rejected"):
+            assert result_counters["reference"][name] == result_counters["objects"][name]
 
     def test_type_error_on_non_columnar_input(self, frontend):
         with pytest.raises(TypeError, match="AuthenticateColumns"):
