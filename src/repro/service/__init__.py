@@ -82,7 +82,6 @@ from repro.service import wirebin
 from repro.devices.store import ANY_CONTEXT, FeatureStore, RingBuffer, StoreStats
 from repro.service.cluster import (
     HashRing,
-    HedgePolicy,
     RetryPolicy,
     ShardRouter,
     ShardUnavailable,
@@ -171,7 +170,6 @@ __all__ = [
     "FleetSimulator",
     "FusedStackCache",
     "HashRing",
-    "HedgePolicy",
     "LatencyRecorder",
     "MicroBatchQueue",
     "ModelRecord",

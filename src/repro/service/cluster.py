@@ -38,8 +38,8 @@ the same file-backed bucket, so a caller split across shards is throttled
 at one aggregate rate.  The router charges that bucket **once per frame,
 before the split** — sub-frames carry a ``prepaid`` marker the workers
 honor — and refunds the charge when a frame fails outright, so a frame
-split across K shards costs its request count exactly once, retries and
-hedges included.
+split across K shards costs its request count exactly once, retries
+included.
 
 The routing layer self-heals around worker churn:
 
@@ -49,10 +49,6 @@ The routing layer self-heals around worker churn:
   lands inside the budget answers a normal 200 instead of a 503.
   Failures after dispatch retry only for idempotent (authenticate)
   operations.
-* :class:`HedgePolicy` — optional straggler hedging: an exchange that
-  outlives the observed latency quantile gets a duplicate dispatch and
-  the first answer wins, with no double-charged quota or double-counted
-  telemetry.
 * Graceful drain — the ``drain-shard`` admin envelope (router-resident)
   flips a shard out of the routing set: new sub-frames rebalance onto
   the remaining shards via the ring's deterministic exclude-walk while
@@ -75,7 +71,6 @@ import argparse
 import json
 import os
 import select
-import shutil
 import signal
 import subprocess
 import sys
@@ -85,7 +80,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
 from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from random import random
 from time import monotonic, perf_counter, sleep, time
 from typing import Any, Mapping, Sequence
@@ -117,11 +112,9 @@ from repro.service.protocol import (
     response_to_payload,
 )
 from repro.service.telemetry import (
-    PROMETHEUS_CONTENT_TYPE,
     TelemetryHub,
     merge_histogram_snapshots,
     merged_hub,
-    render_prometheus,
 )
 from repro.service.tracing import (
     SPAN_SHARD_DISPATCH,
@@ -138,8 +131,7 @@ from repro.service.transport import (
     REQUESTS_PATH,
     V2_ADMIN_PATH,
     V2_REQUESTS_PATH,
-    _BoundedBodyReader,
-    _ChunkedBodyReader,
+    ProtocolRequestHandler,
 )
 from repro.utils import serialization
 
@@ -259,37 +251,6 @@ class RetryPolicy:
             self.max_backoff_s, self.initial_backoff_s * self.multiplier**attempt
         )
         return base * (1.0 + self.jitter * random())
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Hedged dispatch against stragglers: duplicate past a quantile.
-
-    When a shard exchange outlives the router's observed latency
-    *quantile* (fed from the mergeable ``router.exchange`` histogram), a
-    second identical sub-frame is sent — the restarted replica, when the
-    straggle is a crash-respawn — and the first answer wins.  The loser
-    is discarded: its latency is not recorded and, because the router
-    charges quota once per frame before the split, it can never charge
-    twice.  Only idempotent (authenticate) sub-frames hedge.
-
-    Off by default on the router; enable with ``--hedge-quantile`` or by
-    passing a policy.  ``min_samples`` keeps the trigger quiet until the
-    histogram has seen enough exchanges to estimate a tail.
-    """
-
-    quantile: float = 95.0
-    min_samples: int = 50
-    min_delay_s: float = 0.01
-    max_delay_s: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.quantile <= 100.0:
-            raise ValueError(f"quantile must be in (0, 100], got {self.quantile}")
-        if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
-        if self.min_delay_s <= 0.0 or self.max_delay_s < self.min_delay_s:
-            raise ValueError("delay bounds must satisfy 0 < min <= max")
 
 
 # --------------------------------------------------------------------- #
@@ -787,48 +748,14 @@ class WorkerPool:
 # --------------------------------------------------------------------- #
 
 
-class _RouterRequestHandler(BaseHTTPRequestHandler):
-    """Maps HTTP exchanges onto shard routing (one instance per request)."""
+class _RouterRequestHandler(ProtocolRequestHandler):
+    """The router's door: JSON relays by ``user_id``, frames split per shard."""
 
-    protocol_version = "HTTP/1.1"
     server: "ShardRouter"
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Route per-request logging into telemetry instead of stderr."""
-
-    # ------------------------------------------------------------------ #
-    # plumbing (mirrors the worker transport's handler)
-    # ------------------------------------------------------------------ #
-
-    def _send_json(
-        self, status: int, body: str, headers: dict[str, str] | None = None
-    ) -> None:
-        self._send_raw(status, body.encode("utf-8"), "application/json", headers)
-
-    def _send_raw(
-        self,
-        status: int,
-        payload: bytes,
-        content_type: str,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if self.close_connection:
-            # Keep-alive clients must learn the socket is closing with
-            # this response, or their next reuse meets a reset.
-            self.send_header("Connection", "close")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _client_error(self, kind: str, error: Exception) -> ErrorResponse:
-        self.server.telemetry.increment("router.client_errors")
-        return ErrorResponse(
-            request_kind=kind, error=type(error).__name__, message=str(error)
-        )
+    counter_prefix = "router"
+    # JSON bodies are relayed, not interpreted: plain JSON keeps the
+    # forwarded payloads exactly as the client sent them.
+    parse_json = staticmethod(json.loads)
 
     def _send_unavailable(
         self, kind: str, error: ShardUnavailable, payload: Any = None
@@ -842,7 +769,7 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
         (v2 single/admin), a list of envelopes (v2 batch, answered
         per-envelope), or ``None`` for the legacy plane.
         """
-        self.server.telemetry.increment("router.unavailable")
+        self._count("unavailable")
         response = ErrorResponse(
             request_kind=kind, error="ShardUnavailable", message=str(error)
         )
@@ -868,240 +795,62 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
             self._send_json(503, dumps_response(response), headers)
 
     # ------------------------------------------------------------------ #
-    # endpoints
+    # door hooks
     # ------------------------------------------------------------------ #
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        if self.path == HEALTH_PATH:
-            self._send_json(200, json.dumps(self.server.health(), sort_keys=True))
-        elif self.path == METRICS_PATH:
-            accept = (self.headers.get("Accept") or "").lower()
-            view = self.server.fleet_metrics()
-            if "text/plain" in accept:
-                hub = merged_hub(view["counters"], view["histograms"])
-                payload = render_prometheus(hub).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-                return
-            self._send_json(200, serialization.dumps(view))
+    def _metrics_snapshot(self) -> dict[str, Any]:
+        return self.server.fleet_metrics()
+
+    def _metrics_hub(self) -> TelemetryHub:
+        view = self.server.fleet_metrics()
+        return merged_hub(view["counters"], view["histograms"])
+
+    def _dispatch_json(self, payload: dict | list, raw: bytes) -> None:
+        try:
+            if self.path == V2_ADMIN_PATH:
+                self._handle_admin(payload, raw)
+            elif isinstance(payload, list):
+                self._handle_json_batch(payload)
+            else:
+                self._handle_json_single(payload, raw)
+        except ShardUnavailable as error:
+            self._send_unavailable(
+                "transport",
+                error,
+                None if self.path == REQUESTS_PATH else payload,
+            )
+        except _WorkerFault as fault:
+            self._send_raw(fault.status, fault.body)
+
+    def _dispatch_frame(
+        self, frame: wirebin.RequestFrame, trace_id: str | None
+    ) -> tuple[bytes, DeniedResponse | ThrottledResponse | None]:
+        return self.server.route_frame(
+            frame, trace_id=trace_id, deadline_s=self._deadline_s()
+        )
+
+    def _echoes_trace(self) -> bool:
+        # The id was forwarded to the workers, which may have traced it.
+        return True
+
+    def _abort_marker(self, error: Exception) -> str | None:
+        if isinstance(error, ShardUnavailable):
+            # Torn-stream semantics across the process boundary: the shard
+            # died mid-stream, so the caller gets every completed frame
+            # plus a typed abort marker telling it exactly how many ran.
+            self._count("stream_aborts")
+            return "ShardUnavailable"
+        if isinstance(error, _WorkerFault):
+            return "RuntimeError"
+        return super()._abort_marker(error)
+
+    def _send_failure(self, error: Exception, status: int | None = None) -> None:
+        if isinstance(error, ShardUnavailable):
+            self._send_unavailable("binary-frame", error)
+        elif isinstance(error, _WorkerFault):
+            self._send_raw(error.status, error.body)
         else:
-            self._send_json(
-                404,
-                dumps_response(
-                    ErrorResponse(
-                        request_kind="transport",
-                        error="KeyError",
-                        message=f"no such endpoint: GET {self.path}",
-                    )
-                ),
-            )
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
-        if self.path not in (REQUESTS_PATH, V2_REQUESTS_PATH, V2_ADMIN_PATH):
-            self._send_json(
-                404,
-                dumps_response(
-                    ErrorResponse(
-                        request_kind="transport",
-                        error="KeyError",
-                        message=f"no such endpoint: POST {self.path}; protocol "
-                        f"requests go to {REQUESTS_PATH} (legacy), "
-                        f"{V2_REQUESTS_PATH} (enveloped data plane) or "
-                        f"{V2_ADMIN_PATH} (enveloped control plane)",
-                    )
-                ),
-            )
-            return
-        self.server.telemetry.increment("router.requests")
-        with self.server.telemetry.timer("router.request"):
-            content_type = (
-                (self.headers.get("Content-Type") or "")
-                .split(";", 1)[0]
-                .strip()
-                .lower()
-            )
-            if content_type == wirebin.CONTENT_TYPE:
-                if self.path != V2_REQUESTS_PATH:
-                    self.close_connection = True
-                    response = self._client_error(
-                        "transport",
-                        TypeError(
-                            f"binary batch frames ({wirebin.CONTENT_TYPE}) "
-                            f"are accepted only at {V2_REQUESTS_PATH}"
-                        ),
-                    )
-                    self._send_json(400, dumps_response(response))
-                    return
-                self._handle_binary()
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0) or 0)
-                raw = self.rfile.read(length)
-                payload = json.loads(raw.decode("utf-8"))
-            except Exception as error:  # malformed JSON / encoding
-                self._send_json(
-                    400, dumps_response(self._client_error("transport", error))
-                )
-                return
-            try:
-                if self.path == V2_ADMIN_PATH:
-                    self._handle_admin(payload, raw)
-                elif isinstance(payload, list):
-                    self._handle_json_batch(payload)
-                elif isinstance(payload, dict):
-                    self._handle_json_single(payload, raw)
-                else:
-                    self._send_json(
-                        400,
-                        dumps_response(
-                            self._client_error(
-                                "transport",
-                                TypeError(
-                                    "request body must be a wire-encoded "
-                                    "request object or an array of them, got "
-                                    f"{type(payload).__name__}"
-                                ),
-                            )
-                        ),
-                    )
-            except ShardUnavailable as error:
-                self._send_unavailable(
-                    "transport",
-                    error,
-                    None if self.path == REQUESTS_PATH else payload,
-                )
-            except _WorkerFault as fault:
-                self._send_raw(fault.status, fault.body, "application/json")
-
-    # ------------------------------------------------------------------ #
-    # binary frames (split / fan out / merge)
-    # ------------------------------------------------------------------ #
-
-    def _handle_binary(self) -> None:
-        """Split binary frames per shard and merge responses, incrementally.
-
-        Mirrors the worker transport's streaming contract: each frame of a
-        chunked upload answers one merged response frame, in order; a torn
-        stream — including a shard dying mid-stream — delivers the
-        completed frames plus a typed abort marker and closes the
-        connection.  A single-frame request whose shard is down answers a
-        typed 503 instead.
-        """
-        if (self.headers.get("Transfer-Encoding") or "").lower() == "chunked":
-            read = _ChunkedBodyReader(self.rfile).read
-        else:
-            read = _BoundedBodyReader(
-                self.rfile, int(self.headers.get("Content-Length", 0) or 0)
-            ).read
-        client_trace_id = self.headers.get(TRACE_HEADER)
-        deadline_s = self._deadline_s()
-        frames = 0
-        rejection: DeniedResponse | ThrottledResponse | None = None
-        with tempfile.SpooledTemporaryFile(max_size=1 << 23) as frames_out:
-            try:
-                for frame in wirebin.iter_request_frames(read):
-                    body, rejection = self.server.route_frame(
-                        frame, trace_id=client_trace_id, deadline_s=deadline_s
-                    )
-                    frames += 1
-                    frames_out.write(body)
-            except ValueError as error:
-                self.close_connection = True
-                if frames:
-                    self.server.telemetry.increment("router.client_errors")
-                    frames_out.write(
-                        wirebin.encode_error_frame(
-                            ErrorResponse(
-                                request_kind="binary-frame",
-                                error=type(error).__name__,
-                                message=f"stream aborted after {frames} "
-                                f"dispatched frame(s): {error}",
-                            )
-                        )
-                    )
-                else:
-                    self._send_json(
-                        400,
-                        dumps_response(self._client_error("binary-frame", error)),
-                    )
-                    return
-            except ShardUnavailable as error:
-                self.close_connection = True
-                if frames:
-                    # PR 5's torn-stream semantics across the process
-                    # boundary: the shard died mid-stream, so the caller
-                    # gets every completed frame plus a typed abort marker
-                    # telling it exactly how many executed.
-                    self.server.telemetry.increment("router.stream_aborts")
-                    frames_out.write(
-                        wirebin.encode_error_frame(
-                            ErrorResponse(
-                                request_kind="binary-frame",
-                                error="ShardUnavailable",
-                                message=f"stream aborted after {frames} "
-                                f"dispatched frame(s): {error}",
-                            )
-                        )
-                    )
-                else:
-                    self._send_unavailable("binary-frame", error)
-                    return
-            except _WorkerFault as fault:
-                self.close_connection = True
-                if frames:
-                    frames_out.write(
-                        wirebin.encode_error_frame(
-                            ErrorResponse(
-                                request_kind="binary-frame",
-                                error="RuntimeError",
-                                message=f"stream aborted after {frames} "
-                                f"dispatched frame(s): {fault}",
-                            )
-                        )
-                    )
-                else:
-                    self._send_raw(fault.status, fault.body, "application/json")
-                    return
-            except Exception as error:  # defensive: routing maps errors
-                self.server.telemetry.increment("router.server_errors")
-                self.close_connection = True
-                self._send_json(
-                    500,
-                    dumps_response(
-                        ErrorResponse(
-                            request_kind="binary-frame",
-                            error=type(error).__name__,
-                            message=str(error),
-                        )
-                    ),
-                )
-                return
-            status = 200
-            headers: dict[str, str] = {}
-            if client_trace_id:
-                headers[TRACE_HEADER] = client_trace_id
-            if frames == 1 and rejection is not None:
-                if isinstance(rejection, ThrottledResponse):
-                    status = 429
-                    headers["Retry-After"] = str(
-                        max(1, round(rejection.retry_after_s + 0.5))
-                    )
-                else:
-                    status = rejection.http_status
-            length = frames_out.tell()
-            frames_out.seek(0)
-            self.send_response(status)
-            self.send_header("Content-Type", wirebin.CONTENT_TYPE)
-            self.send_header("Content-Length", str(length))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            shutil.copyfileobj(frames_out, self.wfile)
+            super()._send_failure(error, status=500)
 
     # ------------------------------------------------------------------ #
     # JSON routing
@@ -1163,16 +912,9 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
     def _handle_json_single(self, payload: dict, raw: bytes) -> None:
         user_id = self._route_user_id(payload)
         if user_id is None:
-            self._send_json(
-                400,
-                dumps_response(
-                    self._client_error(
-                        "transport",
-                        ValueError(
-                            "cannot route: the request carries no user_id"
-                        ),
-                    )
-                ),
+            self._reject(
+                "transport",
+                ValueError("cannot route: the request carries no user_id"),
             )
             return
         shard = self.server.ring.shard_for(user_id, exclude=self.server.draining())
@@ -1248,7 +990,7 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
                 answers[index] = merged[position]
         self._send_json(200, serialization.dumps(answers))
 
-    def _handle_admin(self, payload: Any, raw: bytes) -> None:
+    def _handle_admin(self, payload: dict, raw: bytes) -> None:
         """Route one admin envelope: per-user ops to the owning shard,
         fleet-wide ops (snapshot, evict, detector training) to every shard.
 
@@ -1257,20 +999,6 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
         outcomes differ only in shard-local statistics), and the first
         failure relays verbatim instead.
         """
-        if isinstance(payload, list):
-            self._send_json(
-                400,
-                dumps_response(
-                    self._client_error(
-                        "transport",
-                        TypeError(
-                            f"POST {V2_ADMIN_PATH} accepts a single envelope; "
-                            "admin operations do not batch"
-                        ),
-                    )
-                ),
-            )
-            return
         if self._request_kind(payload) == "drain-shard":
             # The one admin op the router answers itself: only it owns a
             # ring to rebalance (workers reject it with a typed 400).
@@ -1315,7 +1043,7 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
         assert answer is not None  # n_shards >= 1
         self._relay(*answer)
 
-    def _handle_drain(self, payload: Any) -> None:
+    def _handle_drain(self, payload: dict) -> None:
         """Execute a ``drain-shard`` envelope against the router's ring.
 
         Requires the cluster operator credential (the pool's API key);
@@ -1324,17 +1052,6 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
         complete untouched.  The sealed response reports the resulting
         active set for the operator's runbook.
         """
-        if not isinstance(payload, dict):
-            self._send_json(
-                400,
-                dumps_response(
-                    self._client_error(
-                        "drain-shard",
-                        TypeError("drain-shard takes a single v2 envelope"),
-                    )
-                ),
-            )
-            return
         request_id = str(payload.get("request_id", ""))
 
         def _answer(status: int, response: Any) -> None:
@@ -1362,17 +1079,7 @@ class _RouterRequestHandler(BaseHTTPRequestHandler):
                 request.shard, undrain=request.undrain
             )
         except (KeyError, TypeError, ValueError) as error:
-            self._send_json(
-                400,
-                serialization.dumps(
-                    sealed_to_payload(
-                        SealedResponse(
-                            response=self._client_error("drain-shard", error),
-                            request_id=request_id,
-                        )
-                    )
-                ),
-            )
+            _answer(400, self._client_error("drain-shard", error))
             return
         _answer(
             200,
@@ -1389,11 +1096,13 @@ class ShardRouter(ThreadingHTTPServer):
 
     Speaks the worker transport's exact wire surface — ``/v1/requests``,
     ``/v2/requests`` (JSON and binary), ``/v2/admin``, ``/healthz``,
-    ``/metrics`` — so any :class:`~repro.service.transport.ServiceClient`
-    points at the router unchanged.  Requests route by consistent-hashed
-    ``user_id``; multi-request frames and JSON batches are split
-    per-shard, fanned out concurrently over keep-alive connections, and
-    merged back in request order.
+    ``/metrics`` — through the same handler base
+    (:class:`~repro.service.transport.ProtocolRequestHandler`), so any
+    :class:`~repro.service.transport.ServiceClient` points at the router
+    unchanged and malformed input answers exactly as at a worker.
+    Requests route by consistent-hashed ``user_id``; multi-request frames
+    and JSON batches are split per-shard, fanned out concurrently over
+    keep-alive connections, and merged back in request order.
 
     Parameters
     ----------
@@ -1411,9 +1120,6 @@ class ShardRouter(ThreadingHTTPServer):
         disables retries entirely).  Default: the snappy
         ``RetryPolicy()`` — transient worker blips and fast respawns heal
         invisibly, bounded by the client's ``X-Deadline-S`` when sent.
-    hedge_policy:
-        Straggler hedging (:class:`HedgePolicy`); ``None`` (default)
-        disables it.
     admin_api_key:
         Credential required by the router-resident ``drain-shard`` admin
         operation (defaults to the pool's cluster API key; ``None`` if
@@ -1424,7 +1130,7 @@ class ShardRouter(ThreadingHTTPServer):
     binary frame, before the split**, stamps every sub-frame ``prepaid``
     (workers spawned with ``--trust-prepaid`` skip their own charge) and
     refunds the charge when the frame fails outright — so a frame split
-    across K shards, retried or hedged, costs exactly its request count.
+    across K shards, retried or not, costs exactly its request count.
     """
 
     daemon_threads = True
@@ -1441,7 +1147,6 @@ class ShardRouter(ThreadingHTTPServer):
         timeout_s: float = 30.0,
         tracer: Tracer | None = None,
         retry_policy: RetryPolicy | None = RetryPolicy(),
-        hedge_policy: HedgePolicy | None = None,
         admin_api_key: str | None = None,
     ) -> None:
         super().__init__((host, port), _RouterRequestHandler)
@@ -1450,7 +1155,6 @@ class ShardRouter(ThreadingHTTPServer):
         self.timeout_s = float(timeout_s)
         self.tracer = tracer
         self.retry_policy = retry_policy
-        self.hedge_policy = hedge_policy
         self.admin_api_key = (
             admin_api_key
             if admin_api_key is not None
@@ -1614,101 +1318,6 @@ class ShardRouter(ThreadingHTTPServer):
             if attempt:
                 self.telemetry.increment("router.retry_successes")
             return result
-
-    def _hedge_delay_s(self) -> float | None:
-        """The straggler threshold, or ``None`` while hedging is off or
-        the latency histogram is still too thin to estimate a tail."""
-        policy = self.hedge_policy
-        if policy is None:
-            return None
-        histogram = self.telemetry.histogram("router.exchange")
-        if histogram.count < policy.min_samples:
-            return None
-        quantile = histogram.quantile(policy.quantile)
-        return min(max(quantile, policy.min_delay_s), policy.max_delay_s)
-
-    def _hedged_exchange(
-        self,
-        shard: int,
-        payload: bytes,
-        headers: Mapping[str, str],
-        idempotent: bool,
-        deadline_s: float | None,
-    ) -> tuple[int, bytes, dict[str, str]]:
-        """One sub-frame exchange, hedged against stragglers.
-
-        The primary dispatch gets :meth:`_hedge_delay_s` to answer; past
-        that, an identical sub-frame goes out (endpoint re-resolved, so
-        a respawned replica serves it) and the first answer wins.  The
-        loser's outcome is discarded — it records no latency sample, and
-        the frame's quota was charged before the split, so a duplicate
-        execution can never double-charge.
-        """
-        delay = self._hedge_delay_s() if idempotent else None
-        started = perf_counter()
-        if delay is None:
-            result = self.reliable_exchange(
-                shard,
-                "POST",
-                V2_REQUESTS_PATH,
-                payload,
-                wirebin.CONTENT_TYPE,
-                headers,
-                idempotent=idempotent,
-                deadline_s=deadline_s,
-            )
-            self.telemetry.observe("router.exchange", perf_counter() - started)
-            return result
-        condition = threading.Condition()
-        outcomes: list[tuple[str, bool, Any]] = []
-
-        def _attempt(label: str) -> None:
-            try:
-                outcome = (
-                    label,
-                    True,
-                    self.reliable_exchange(
-                        shard,
-                        "POST",
-                        V2_REQUESTS_PATH,
-                        payload,
-                        wirebin.CONTENT_TYPE,
-                        headers,
-                        idempotent=True,
-                        deadline_s=deadline_s,
-                    ),
-                )
-            except BaseException as error:
-                outcome = (label, False, error)
-            with condition:
-                outcomes.append(outcome)
-                condition.notify_all()
-
-        threading.Thread(
-            target=_attempt, args=("primary",), daemon=True
-        ).start()
-        with condition:
-            condition.wait_for(lambda: bool(outcomes), timeout=delay)
-            launched = 1 if outcomes else 2
-        if launched == 2:
-            self.telemetry.increment("router.hedges")
-            threading.Thread(
-                target=_attempt, args=("hedge",), daemon=True
-            ).start()
-        with condition:
-            condition.wait_for(
-                lambda: any(ok for _, ok, _value in outcomes)
-                or len(outcomes) >= launched
-            )
-            label, ok, value = next(
-                (outcome for outcome in outcomes if outcome[1]), outcomes[0]
-            )
-        if not ok:
-            raise value
-        if label == "hedge":
-            self.telemetry.increment("router.hedge_wins")
-        self.telemetry.observe("router.exchange", perf_counter() - started)
-        return value
 
     # ------------------------------------------------------------------ #
     # graceful drain + live resharding
@@ -1909,8 +1518,19 @@ class ShardRouter(ThreadingHTTPServer):
 
         def _dispatch(shard: int) -> None:
             try:
-                status, data, _ = self._hedged_exchange(
-                    shard, payloads[shard], headers, idempotent, deadline_s
+                exchange_started = perf_counter()
+                status, data, _ = self.reliable_exchange(
+                    shard,
+                    "POST",
+                    V2_REQUESTS_PATH,
+                    payloads[shard],
+                    wirebin.CONTENT_TYPE,
+                    headers,
+                    idempotent=idempotent,
+                    deadline_s=deadline_s,
+                )
+                self.telemetry.observe(
+                    "router.exchange", perf_counter() - exchange_started
                 )
                 if not data.startswith(wirebin.MAGIC):
                     raise _WorkerFault(shard, status, data)
@@ -2313,21 +1933,12 @@ def _run_router(args: argparse.Namespace) -> int:
                 deadline_s=args.retry_deadline_s,
             )
         )
-        hedge_policy = (
-            HedgePolicy(
-                quantile=args.hedge_quantile,
-                min_samples=args.hedge_min_samples,
-            )
-            if args.hedge_quantile > 0.0
-            else None
-        )
         with ShardRouter(
             pool,
             host=args.host,
             port=args.port,
             tracer=tracer,
             retry_policy=retry_policy,
-            hedge_policy=hedge_policy,
         ) as router:
             _install_stop_handlers(stop)
             print(f"READY {router.port}", flush=True)
@@ -2436,20 +2047,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         default=RetryPolicy.deadline_s,
         help="total retry budget per request in seconds; the client's "
         "X-Deadline-S header can only shrink it (default %(default)s)",
-    )
-    router.add_argument(
-        "--hedge-quantile",
-        type=float,
-        default=0.0,
-        help="hedge straggling authenticate sub-frames past this latency "
-        "percentile (0 disables hedging, the default)",
-    )
-    router.add_argument(
-        "--hedge-min-samples",
-        type=int,
-        default=HedgePolicy.min_samples,
-        help="latency samples required before hedging arms "
-        "(default %(default)s)",
     )
     router.add_argument("--trace-sample-rate", type=float, default=0.0)
     router.add_argument("--trace-jsonl", default=None)

@@ -89,7 +89,7 @@ from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import count
 from time import monotonic, perf_counter, sleep
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.service import wirebin
 from repro.service.envelope import (
@@ -167,6 +167,7 @@ _STATUS_BY_ERROR = {
     "ValueError": 400,
     "TypeError": 400,
     "JSONDecodeError": 400,
+    "UnicodeDecodeError": 400,
     "PermissionError": 403,
 }
 
@@ -215,68 +216,395 @@ class DeadlineExceeded(ConnectionError):
         self.timeout_s = timeout_s
 
 
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Maps HTTP exchanges onto the typed protocol (one instance per request)."""
+def _retry_after(seconds: float) -> str:
+    """The ``Retry-After`` header value for a back-off of *seconds*.
+
+    Whole seconds, never below 1: a client told to wait 0 would re-send
+    at once into the same full queue.
+    """
+    return str(max(1, round(seconds + 0.5)))
+
+
+class ProtocolRequestHandler(BaseHTTPRequestHandler):
+    """The HTTP door a worker and the shard router share.
+
+    One instance per request.  The base answers everything both doors
+    answer alike:
+
+    * response writing — one writer, which sends ``Connection: close``
+      whenever the handler is about to close the socket;
+    * typed client errors (counted as ``<prefix>.client_errors``) and the
+      ``Retry-After`` header of throttled answers;
+    * ``GET /healthz`` (``server.health()``) and ``GET /metrics`` (JSON,
+      or Prometheus text when the client accepts ``text/plain``);
+    * the POST prologue: unknown path → 404, content negotiation, binary
+      frames outside ``/v2/requests`` → 400, one body read bounded by a
+      validated ``Content-Length``, JSON decode, and the body-shape checks;
+    * the streaming binary-frame loop: frames dispatch one at a time, the
+      answers spool, a torn stream delivers the executed frames plus a
+      typed abort marker, and a single rejected frame answers with the
+      rejection's status.
+
+    Subclasses supply the dispatch: :meth:`_dispatch_json`,
+    :meth:`_dispatch_frame` and the metrics source, and may extend the
+    stream-failure mapping (:meth:`_abort_marker`, :meth:`_send_failure`).
+    """
 
     # HTTP/1.1 + explicit Content-Length keeps client connections alive, so
     # a ServiceClient reuses one socket for its whole session.
     protocol_version = "HTTP/1.1"
-    server: "ServiceHTTPServer"
-
-    # ------------------------------------------------------------------ #
-    # plumbing
-    # ------------------------------------------------------------------ #
+    #: Namespace of this door's counters (``<prefix>.requests``, ...).
+    counter_prefix = "transport"
+    #: Parses the decoded JSON body.
+    parse_json = staticmethod(serialization.loads)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route per-request logging into telemetry instead of stderr."""
 
-    def _send_json(self, status: int, body: str, headers: dict[str, str] | None = None) -> None:
-        payload = body.encode("utf-8")
+    # ------------------------------------------------------------------ #
+    # response writing
+    # ------------------------------------------------------------------ #
+
+    def _send_head(
+        self,
+        status: int,
+        content_type: str,
+        length: int,
+        headers: dict[str, str] | None = None,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(length))
+        if self.close_connection:
+            # Keep-alive clients must learn the socket is closing with
+            # this response, or their next reuse meets a reset.
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
+
+    def _send_raw(
+        self,
+        status: int,
+        payload: bytes,
+        content_type: str = "application/json",
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        self._send_head(status, content_type, len(payload), headers)
         self.wfile.write(payload)
 
-    def _send_response(
-        self, response: Response, trace: TraceContext | None = None
+    def _send_json(
+        self, status: int, body: str, headers: dict[str, str] | None = None
     ) -> None:
+        self._send_raw(status, body.encode("utf-8"), "application/json", headers)
+
+    def _send_typed(
+        self,
+        status: int,
+        response: Response,
+        encode: Callable[[Any], str],
+        payload: Any,
+        trace: TraceContext | None = None,
+    ) -> None:
+        """Answer *response*, framed as ``encode(payload)``."""
         headers = {}
         if isinstance(response, ThrottledResponse):
-            headers["Retry-After"] = str(max(1, round(response.retry_after_s + 0.5)))
+            headers["Retry-After"] = _retry_after(response.retry_after_s)
         if trace is None:
-            self._send_json(
-                status_for_response(response), dumps_response(response), headers
-            )
+            self._send_json(status, encode(payload), headers)
             return
         headers[TRACE_HEADER] = trace.trace_id
         started = perf_counter()
-        body = dumps_response(response)
+        body = encode(payload)
         trace.add_span(SPAN_RESPONSE_FRAMING, perf_counter() - started)
         # Finish (and export) before the socket write so a client that saw
         # the response is guaranteed to find the trace event exported.
         self.server.tracer.finish(trace)
-        self._send_json(status_for_response(response), body, headers)
+        self._send_json(status, body, headers)
+
+    def _send_response(
+        self, response: Response, trace: TraceContext | None = None
+    ) -> None:
+        self._send_typed(
+            status_for_response(response), response, dumps_response, response, trace
+        )
+
+    def _count(self, name: str) -> None:
+        self.server.telemetry.increment(f"{self.counter_prefix}.{name}")
+
+    def _client_error(self, kind: str, error: Exception) -> ErrorResponse:
+        self._count("client_errors")
+        return ErrorResponse(
+            request_kind=kind, error=type(error).__name__, message=str(error)
+        )
+
+    def _reject(self, kind: str, error: Exception) -> None:
+        """Answer a typed 400: the client sent something unusable."""
+        self._send_json(400, dumps_response(self._client_error(kind, error)))
+
+    # ------------------------------------------------------------------ #
+    # GET
+    # ------------------------------------------------------------------ #
+
+    def _metrics_snapshot(self) -> dict[str, Any]:
+        """The JSON ``/metrics`` document."""
+        raise NotImplementedError
+
+    def _metrics_hub(self) -> Any:
+        """The telemetry hub ``/metrics`` renders as Prometheus text."""
+        raise NotImplementedError
+
+    def _get_extra(self) -> bool:
+        """Serve a door-specific GET endpoint; ``False`` if none matches."""
+        return False
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
+        if self.path == HEALTH_PATH:
+            self._send_json(200, json.dumps(self.server.health(), sort_keys=True))
+        elif self.path == METRICS_PATH:
+            if "text/plain" in (self.headers.get("Accept") or "").lower():
+                # Prometheus text exposition via content negotiation; the
+                # default JSON snapshot stays byte-for-byte unchanged.
+                self._send_raw(
+                    200,
+                    render_prometheus(self._metrics_hub()).encode("utf-8"),
+                    PROMETHEUS_CONTENT_TYPE,
+                )
+            else:
+                self._send_json(200, serialization.dumps(self._metrics_snapshot()))
+        elif not self._get_extra():
+            self._send_json(
+                404,
+                dumps_response(
+                    ErrorResponse(
+                        request_kind="transport",
+                        error="KeyError",
+                        message=f"no such endpoint: GET {self.path}",
+                    )
+                ),
+            )
+
+    # ------------------------------------------------------------------ #
+    # POST prologue
+    # ------------------------------------------------------------------ #
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
+        if self.path not in (REQUESTS_PATH, V2_REQUESTS_PATH, V2_ADMIN_PATH):
+            # The body is left unread, so the stream holds no next request.
+            self.close_connection = True
+            self._send_json(
+                404,
+                dumps_response(
+                    ErrorResponse(
+                        request_kind="transport",
+                        error="KeyError",
+                        message=f"no such endpoint: POST {self.path}; protocol "
+                        f"requests go to {REQUESTS_PATH} (legacy), "
+                        f"{V2_REQUESTS_PATH} (enveloped data plane) or "
+                        f"{V2_ADMIN_PATH} (enveloped control plane)",
+                    )
+                ),
+            )
+            return
+        self._count("requests")
+        with self.server.telemetry.timer(f"{self.counter_prefix}.request"):
+            self._post()
+
+    def _post(self) -> None:
+        content_type = (
+            (self.headers.get("Content-Type") or "").split(";", 1)[0].strip().lower()
+        )
+        binary = content_type == wirebin.CONTENT_TYPE
+        if binary and self.path != V2_REQUESTS_PATH:
+            # The (possibly chunked) frame body is left unread, so this
+            # connection cannot serve another exchange.
+            self.close_connection = True
+            self._reject(
+                "transport",
+                TypeError(
+                    f"binary batch frames ({wirebin.CONTENT_TYPE}) "
+                    f"are accepted only at {V2_REQUESTS_PATH}"
+                ),
+            )
+            return
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        # At most 18 digits: any length that large is already absurd, and
+        # int() refuses very long digit strings anyway.
+        if len(raw_length) > 18 or not (
+            raw_length.isascii() and raw_length.isdigit()
+        ):
+            # Where the body ends is unknowable, so the rest of the stream
+            # cannot be parsed as a next request either.
+            self.close_connection = True
+            self._reject(
+                "transport",
+                ValueError(
+                    "Content-Length must be a non-negative integer, "
+                    f"got {raw_length[:32]!r}"
+                ),
+            )
+            return
+        length = int(raw_length)
+        if binary:
+            self._handle_binary(length)
+            return
+        try:
+            raw = self.rfile.read(length)
+            payload = self.parse_json(raw.decode("utf-8"))
+        except Exception as error:  # malformed JSON / encoding
+            self._reject("transport", error)
+            return
+        admin = self.path == V2_ADMIN_PATH
+        if isinstance(payload, list) and admin:
+            self._reject(
+                "transport",
+                TypeError(
+                    f"POST {V2_ADMIN_PATH} accepts a single envelope; "
+                    "admin operations do not batch"
+                ),
+            )
+        elif isinstance(payload, (dict, list)):
+            self._dispatch_json(payload, raw)
+        else:
+            noun = "request" if self.path == REQUESTS_PATH else "envelope"
+            self._reject(
+                "transport",
+                TypeError(
+                    f"request body must be a wire-encoded {noun} object"
+                    + ("" if admin else " or an array of them")
+                    + f", got {type(payload).__name__}"
+                ),
+            )
+
+    def _dispatch_json(self, payload: dict | list, raw: bytes) -> None:
+        """Answer one decoded JSON body (an object, or an array outside
+        ``/v2/admin``); *raw* is the body as received."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------ #
+    # the binary columnar stream (content-negotiated on /v2/requests)
+    # ------------------------------------------------------------------ #
+
+    def _dispatch_frame(
+        self, frame: wirebin.RequestFrame, trace_id: str | None
+    ) -> tuple[bytes, "DeniedResponse | ThrottledResponse | None"]:
+        """Answer one request frame: its response frame, plus the
+        frame-level rejection when admission refused the whole frame."""
+        raise NotImplementedError
+
+    def _echoes_trace(self) -> bool:
+        """Whether a binary answer echoes the client's ``X-Trace-Id``."""
+        return self.server.tracer is not None
+
+    def _abort_marker(self, error: Exception) -> str | None:
+        """The abort marker's error name when *error* tears a stream after
+        frames executed, or ``None`` to answer with :meth:`_send_failure`."""
+        if isinstance(error, ValueError):
+            self._count("client_errors")
+            return type(error).__name__
+        return None
+
+    def _send_failure(self, error: Exception, status: int | None = None) -> None:
+        """Answer a binary request whose stream failed as a whole.
+
+        A torn or corrupt frame is the client's fault (400); anything else
+        escaped dispatch, which maps its own errors, and answers *status*
+        (by default the status its exception type maps to).
+        """
+        if isinstance(error, ValueError):
+            self._reject("binary-frame", error)
+            return
+        self._count("server_errors")
+        response = ErrorResponse(
+            request_kind="binary-frame",
+            error=type(error).__name__,
+            message=str(error),
+        )
+        self._send_json(
+            status or status_for_response(response), dumps_response(response)
+        )
+
+    def _handle_binary(self, length: int) -> None:
+        """Decode and dispatch binary columnar frames, incrementally.
+
+        The body is one frame (``submit_many``) or a concatenated stream of
+        them (``submit_stream`` uses HTTP chunked transfer).  Frames are
+        read and dispatched **one at a time** straight off the socket —
+        request-side memory is bounded by the largest single frame, not
+        the upload — and each answers with its own response frame, in
+        order.  Accumulated response frames spool to a temporary file
+        beyond a small threshold (writing them to the socket mid-read
+        could deadlock against a client that sends its whole stream before
+        reading), so response-side memory is bounded too.  A corrupt or
+        truncated frame answers a typed 400 ``error-response`` (JSON) and
+        closes the connection, never a stack trace.
+        """
+        if (self.headers.get("Transfer-Encoding") or "").lower() == "chunked":
+            read = _ChunkedBodyReader(self.rfile).read
+        else:
+            read = _BoundedBodyReader(self.rfile, length).read
+        trace_id = self.headers.get(TRACE_HEADER)
+        frames = 0
+        rejection: DeniedResponse | ThrottledResponse | None = None
+        with tempfile.SpooledTemporaryFile(max_size=1 << 23) as frames_out:
+            try:
+                for frame in wirebin.iter_request_frames(read):
+                    body, rejection = self._dispatch_frame(frame, trace_id)
+                    frames += 1
+                    frames_out.write(body)
+            except Exception as error:
+                # The rest of the body is unreadable after a torn frame or
+                # a failed dispatch, so the connection cannot be reused.
+                self.close_connection = True
+                marker = self._abort_marker(error) if frames else None
+                if marker is None:
+                    self._send_failure(error)
+                    return
+                # Frames already executed (possibly non-idempotent
+                # enrollments): deliver their responses, then a typed
+                # stream-abort marker, so the caller can reconcile
+                # instead of blindly re-submitting everything.
+                frames_out.write(
+                    wirebin.encode_error_frame(
+                        ErrorResponse(
+                            request_kind="binary-frame",
+                            error=marker,
+                            message=f"stream aborted after {frames} "
+                            f"dispatched frame(s): {error}",
+                        )
+                    )
+                )
+            # A single rejected frame answers with the rejection's mapped
+            # status (429 + Retry-After / 401 / 403), mirroring the JSON
+            # surface; a multi-frame stream answers 200 — its frames carry
+            # mixed per-frame outcomes that one status cannot express.
+            status = 200
+            headers: dict[str, str] = {}
+            if trace_id and self._echoes_trace():
+                headers[TRACE_HEADER] = trace_id
+            if frames == 1 and rejection is not None:
+                if isinstance(rejection, ThrottledResponse):
+                    status = 429
+                    headers["Retry-After"] = _retry_after(rejection.retry_after_s)
+                else:
+                    status = rejection.http_status
+            length = frames_out.tell()
+            frames_out.seek(0)
+            self._send_head(status, wirebin.CONTENT_TYPE, length, headers)
+            shutil.copyfileobj(frames_out, self.wfile)
+
+
+class _ServiceRequestHandler(ProtocolRequestHandler):
+    """The worker's door: dispatch to the local frontend."""
+
+    server: "ServiceHTTPServer"
 
     def _send_sealed(
         self, sealed: SealedResponse, trace: TraceContext | None = None
     ) -> None:
-        headers = {}
-        if isinstance(sealed.response, ThrottledResponse):
-            headers["Retry-After"] = str(
-                max(1, round(sealed.response.retry_after_s + 0.5))
-            )
-        if trace is None:
-            self._send_json(status_for_sealed(sealed), dumps_sealed(sealed), headers)
-            return
-        headers[TRACE_HEADER] = trace.trace_id
-        started = perf_counter()
-        body = dumps_sealed(sealed)
-        trace.add_span(SPAN_RESPONSE_FRAMING, perf_counter() - started)
-        self.server.tracer.finish(trace)
-        self._send_json(status_for_sealed(sealed), body, headers)
+        self._send_typed(
+            status_for_sealed(sealed), sealed.response, dumps_sealed, sealed, trace
+        )
 
     def _start_http_trace(
         self,
@@ -303,118 +631,64 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             tracer.bind(request, trace)
         return trace
 
-    def _client_error(self, kind: str, error: Exception) -> ErrorResponse:
-        self.server.telemetry.increment("transport.client_errors")
-        return ErrorResponse(
-            request_kind=kind, error=type(error).__name__, message=str(error)
+    def _throttle_oversized(self, n_items: int) -> bool:
+        """Answer 429 ``batch-too-large`` when a batch exceeds the bound.
+
+        The micro-batch queue only bounds single-request submissions, so
+        an unbounded array would be a trivial way around ``--max-depth``.
+        """
+        limit = self.server.max_batch_items
+        if limit is None or n_items <= limit:
+            return False
+        self._count("throttled_batches")
+        self._send_response(
+            ThrottledResponse(
+                request_kind="batch",
+                reason="batch-too-large",
+                queue_depth=n_items,
+                max_depth=limit,
+                retry_after_s=0.0,
+            )
         )
+        return True
 
     # ------------------------------------------------------------------ #
     # endpoints
     # ------------------------------------------------------------------ #
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        if self.path == HEALTH_PATH:
-            self._send_json(200, json.dumps(self.server.health(), sort_keys=True))
-        elif self.path == METRICS_PATH:
-            accept = (self.headers.get("Accept") or "").lower()
-            if "text/plain" in accept:
-                # Prometheus text exposition via content negotiation; the
-                # default JSON snapshot below stays byte-for-byte unchanged.
-                payload = render_prometheus(self.server.telemetry).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-                return
-            snapshot = self.server.telemetry.snapshot()
-            snapshot["callers"] = self.server.callers.snapshot()
-            self._send_json(200, serialization.dumps(snapshot))
-        elif self.path == HISTOGRAMS_PATH:
-            self._send_json(
-                200,
-                serialization.dumps(self.server.telemetry.histograms_snapshot()),
-            )
+    def _metrics_snapshot(self) -> dict[str, Any]:
+        snapshot = self.server.telemetry.snapshot()
+        snapshot["callers"] = self.server.callers.snapshot()
+        return snapshot
+
+    def _metrics_hub(self) -> Any:
+        return self.server.telemetry
+
+    def _get_extra(self) -> bool:
+        if self.path != HISTOGRAMS_PATH:
+            return False
+        self._send_json(
+            200, serialization.dumps(self.server.telemetry.histograms_snapshot())
+        )
+        return True
+
+    def _dispatch_json(self, payload: dict | list, raw: bytes) -> None:
+        if self.path == REQUESTS_PATH:
+            if isinstance(payload, list):
+                self._handle_batch(payload)
+            else:
+                self._handle_single(payload)
+        elif isinstance(payload, list):
+            self._handle_v2_batch(payload, plane="data")
         else:
-            self._send_json(
-                404,
-                dumps_response(
-                    ErrorResponse(
-                        request_kind="transport",
-                        error="KeyError",
-                        message=f"no such endpoint: GET {self.path}",
-                    )
-                ),
+            self._handle_v2(
+                payload, plane="control" if self.path == V2_ADMIN_PATH else "data"
             )
 
-    def do_POST(self) -> None:  # noqa: N802 (http.server naming)
-        if self.path not in (REQUESTS_PATH, V2_REQUESTS_PATH, V2_ADMIN_PATH):
-            self._send_json(
-                404,
-                dumps_response(
-                    ErrorResponse(
-                        request_kind="transport",
-                        error="KeyError",
-                        message=f"no such endpoint: POST {self.path}; protocol "
-                        f"requests go to {REQUESTS_PATH} (legacy), "
-                        f"{V2_REQUESTS_PATH} (enveloped data plane) or "
-                        f"{V2_ADMIN_PATH} (enveloped control plane)",
-                    )
-                ),
-            )
-            return
-        self.server.telemetry.increment("transport.requests")
-        with self.server.telemetry.timer("transport.request"):
-            content_type = (
-                (self.headers.get("Content-Type") or "")
-                .split(";", 1)[0]
-                .strip()
-                .lower()
-            )
-            if content_type == wirebin.CONTENT_TYPE:
-                # Content-type negotiation: the binary columnar codec rides
-                # the same data-plane endpoint; JSON bodies are untouched.
-                if self.path != V2_REQUESTS_PATH:
-                    # The (possibly chunked) frame body is left unread, so
-                    # this connection cannot serve another exchange.
-                    self.close_connection = True
-                    self._send_response(
-                        self._client_error(
-                            "transport",
-                            TypeError(
-                                f"binary batch frames ({wirebin.CONTENT_TYPE}) "
-                                f"are accepted only at {V2_REQUESTS_PATH}"
-                            ),
-                        )
-                    )
-                    return
-                self._handle_v2_binary()
-                return
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-                payload = serialization.loads(self.rfile.read(length).decode("utf-8"))
-            except Exception as error:  # malformed JSON / encoding
-                self._send_response(self._client_error("transport", error))
-                return
-            if self.path == V2_REQUESTS_PATH:
-                self._handle_v2(payload, plane="data", allow_batch=True)
-            elif self.path == V2_ADMIN_PATH:
-                self._handle_v2(payload, plane="control", allow_batch=False)
-            elif isinstance(payload, list):
-                self._handle_batch(payload)
-            elif isinstance(payload, dict):
-                self._handle_single(payload)
-            else:
-                self._send_response(
-                    self._client_error(
-                        "transport",
-                        TypeError(
-                            "request body must be a wire-encoded request object "
-                            f"or an array of them, got {type(payload).__name__}"
-                        ),
-                    )
-                )
+    def _dispatch_frame(
+        self, frame: wirebin.RequestFrame, trace_id: str | None
+    ) -> tuple[bytes, "DeniedResponse | ThrottledResponse | None"]:
+        return self.server.dispatch_frame(frame, trace_id=trace_id)
 
     def _handle_single(self, payload: dict) -> None:
         kind = str(payload.get("kind", "unknown"))
@@ -430,237 +704,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             # with /v2 while staying bit-for-bit compatible on the wire.
             response = self.server.dispatch_legacy(request)
         except Exception as error:  # defensive: the frontend maps errors
-            self.server.telemetry.increment("transport.server_errors")
+            self._count("server_errors")
             response = ErrorResponse(
                 request_kind=kind, error=type(error).__name__, message=str(error)
             )
         self._send_response(response, trace)
 
-    # ------------------------------------------------------------------ #
-    # the v2 (enveloped) endpoints
-    # ------------------------------------------------------------------ #
-
-    def _handle_v2(self, payload: Any, plane: str, allow_batch: bool) -> None:
-        if isinstance(payload, list):
-            if not allow_batch:
-                self._send_response(
-                    self._client_error(
-                        "transport",
-                        TypeError(
-                            f"POST {V2_ADMIN_PATH} accepts a single envelope; "
-                            "admin operations do not batch"
-                        ),
-                    )
-                )
-                return
-            self._handle_v2_batch(payload, plane)
-            return
-        if not isinstance(payload, dict):
-            self._send_response(
-                self._client_error(
-                    "transport",
-                    TypeError(
-                        "request body must be a wire-encoded envelope object"
-                        + (" or an array of them" if allow_batch else "")
-                        + f", got {type(payload).__name__}"
-                    ),
-                )
-            )
-            return
-        try:
-            envelope = envelope_from_payload(payload)
-        except Exception as error:
-            self._send_response(self._client_error("envelope", error))
-            return
-        trace = self._start_http_trace(
-            envelope.request,
-            trace_id=envelope.trace_id,
-            request_id=envelope.request_id,
-        )
-        try:
-            sealed = self.server.processor.process(envelope, plane=plane)
-        except Exception as error:  # defensive: the processor maps errors
-            self.server.telemetry.increment("transport.server_errors")
-            sealed = SealedResponse(
-                response=ErrorResponse(
-                    request_kind="envelope",
-                    error=type(error).__name__,
-                    message=str(error),
-                ),
-                request_id=envelope.request_id,
-            )
-        self._send_sealed(sealed, trace)
-
-    def _handle_v2_batch(self, payloads: list, plane: str) -> None:
-        limit = self.server.max_batch_items
-        if limit is not None and len(payloads) > limit:
-            self.server.telemetry.increment("transport.throttled_batches")
-            self._send_response(
-                ThrottledResponse(
-                    request_kind="batch",
-                    reason="batch-too-large",
-                    queue_depth=len(payloads),
-                    max_depth=limit,
-                    retry_after_s=0.0,
-                )
-            )
-            return
-        sealed: list[SealedResponse | None] = [None] * len(payloads)
-        envelopes: list[Envelope] = []
-        positions: list[int] = []
-        for index, item in enumerate(payloads):
-            try:
-                envelopes.append(envelope_from_payload(item))
-            except Exception as error:
-                # A malformed item answers in place; its request_id (when
-                # one was parseable) is still echoed for correlation.
-                request_id = (
-                    str(item.get("request_id", "")) if isinstance(item, dict) else ""
-                )
-                self.server.telemetry.increment("transport.client_errors")
-                sealed[index] = SealedResponse(
-                    response=ErrorResponse(
-                        request_kind="envelope",
-                        error=type(error).__name__,
-                        message=str(error),
-                    ),
-                    request_id=request_id,
-                )
-            else:
-                positions.append(index)
-        try:
-            processed = self.server.processor.process_many(envelopes, plane=plane)
-        except Exception as error:  # defensive: the processor maps errors
-            self.server.telemetry.increment("transport.server_errors")
-            processed = [
-                SealedResponse(
-                    response=ErrorResponse(
-                        request_kind="envelope",
-                        error=type(error).__name__,
-                        message=str(error),
-                    ),
-                    request_id=envelope.request_id,
-                )
-                for envelope in envelopes
-            ]
-        for position, item in zip(positions, processed):
-            sealed[position] = item
-        body = serialization.dumps([sealed_to_payload(item) for item in sealed])
-        # Batches answer 200 with per-item sealed outcomes, mirroring /v1.
-        self._send_json(200, body)
-
-    # ------------------------------------------------------------------ #
-    # the binary columnar endpoint (content-negotiated on /v2/requests)
-    # ------------------------------------------------------------------ #
-
-    def _handle_v2_binary(self) -> None:
-        """Decode and dispatch binary columnar frames, incrementally.
-
-        The body is one frame (``submit_many``) or a concatenated stream of
-        them (``submit_stream`` uses HTTP chunked transfer).  Frames are
-        read, authorized and dispatched **one at a time** straight off the
-        socket — request-side memory is bounded by the largest single
-        frame, not the upload — and each answers with its own response
-        frame, in order.  Accumulated response frames spool to a temporary
-        file beyond a small threshold (writing them to the socket mid-read
-        could deadlock against a client that sends its whole stream before
-        reading), so response-side memory is bounded too.  A corrupt or
-        truncated frame answers a typed 400 ``error-response`` (JSON) and
-        closes the connection, never a stack trace.
-        """
-        if (self.headers.get("Transfer-Encoding") or "").lower() == "chunked":
-            read = _ChunkedBodyReader(self.rfile).read
-        else:
-            read = _BoundedBodyReader(
-                self.rfile, int(self.headers.get("Content-Length", 0) or 0)
-            ).read
-        client_trace_id = self.headers.get(TRACE_HEADER)
-        frames = 0
-        rejection: DeniedResponse | ThrottledResponse | None = None
-        with tempfile.SpooledTemporaryFile(max_size=1 << 23) as frames_out:
-            try:
-                for frame in wirebin.iter_request_frames(read):
-                    body, rejection = self.server.dispatch_frame(
-                        frame, trace_id=client_trace_id
-                    )
-                    frames += 1
-                    frames_out.write(body)
-            except ValueError as error:
-                # The remaining body is unreadable after a torn frame, so
-                # the connection cannot be reused for a next exchange.
-                self.close_connection = True
-                if frames:
-                    # Frames already executed (possibly non-idempotent
-                    # enrollments): deliver their responses, then a typed
-                    # stream-abort marker, so the caller can reconcile
-                    # instead of blindly re-submitting everything.
-                    self.server.telemetry.increment("transport.client_errors")
-                    frames_out.write(
-                        wirebin.encode_error_frame(
-                            ErrorResponse(
-                                request_kind="binary-frame",
-                                error=type(error).__name__,
-                                message=f"stream aborted after {frames} "
-                                f"dispatched frame(s): {error}",
-                            )
-                        )
-                    )
-                else:
-                    self._send_response(self._client_error("binary-frame", error))
-                    return
-            except Exception as error:  # defensive: dispatch maps errors
-                self.server.telemetry.increment("transport.server_errors")
-                self.close_connection = True
-                self._send_response(
-                    ErrorResponse(
-                        request_kind="binary-frame",
-                        error=type(error).__name__,
-                        message=str(error),
-                    )
-                )
-                return
-            # A single rejected frame answers with the rejection's mapped
-            # status (429 + Retry-After / 401 / 403), mirroring the JSON
-            # surface; a multi-frame stream answers 200 — its frames carry
-            # mixed per-frame outcomes that one status cannot express.
-            status = 200
-            headers: dict[str, str] = {}
-            if client_trace_id and self.server.tracer is not None:
-                headers[TRACE_HEADER] = client_trace_id
-            if frames == 1 and rejection is not None:
-                if isinstance(rejection, ThrottledResponse):
-                    status = 429
-                    headers["Retry-After"] = str(
-                        max(1, round(rejection.retry_after_s + 0.5))
-                    )
-                else:
-                    status = rejection.http_status
-            length = frames_out.tell()
-            frames_out.seek(0)
-            self.send_response(status)
-            self.send_header("Content-Type", wirebin.CONTENT_TYPE)
-            self.send_header("Content-Length", str(length))
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            shutil.copyfileobj(frames_out, self.wfile)
-
     def _handle_batch(self, payloads: list) -> None:
-        limit = self.server.max_batch_items
-        if limit is not None and len(payloads) > limit:
-            # Admission control for batch bodies: the micro-batch queue
-            # only bounds single-request submissions, so an unbounded array
-            # would be a trivial way around --max-depth.
-            self.server.telemetry.increment("transport.throttled_batches")
-            self._send_response(
-                ThrottledResponse(
-                    request_kind="batch",
-                    reason="batch-too-large",
-                    queue_depth=len(payloads),
-                    max_depth=limit,
-                    retry_after_s=0.0,
-                )
-            )
+        if self._throttle_oversized(len(payloads)):
             return
         responses: list[Response | None] = [None] * len(payloads)
         requests: list[Request] = []
@@ -681,7 +732,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         try:
             dispatched = self.server.dispatch_many_legacy(requests)
         except Exception as error:  # defensive: the frontend maps errors
-            self.server.telemetry.increment("transport.server_errors")
+            self._count("server_errors")
             dispatched = [
                 ErrorResponse(
                     request_kind="unknown",
@@ -700,6 +751,76 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         # submit_many's one-bad-request-never-poisons-the-batch contract.
         self._send_json(200, body)
 
+    # ------------------------------------------------------------------ #
+    # the v2 (enveloped) endpoints
+    # ------------------------------------------------------------------ #
+
+    def _handle_v2(self, payload: dict, plane: str) -> None:
+        try:
+            envelope = envelope_from_payload(payload)
+        except Exception as error:
+            self._send_response(self._client_error("envelope", error))
+            return
+        trace = self._start_http_trace(
+            envelope.request,
+            trace_id=envelope.trace_id,
+            request_id=envelope.request_id,
+        )
+        try:
+            sealed = self.server.processor.process(envelope, plane=plane)
+        except Exception as error:  # defensive: the processor maps errors
+            self._count("server_errors")
+            sealed = SealedResponse(
+                response=ErrorResponse(
+                    request_kind="envelope",
+                    error=type(error).__name__,
+                    message=str(error),
+                ),
+                request_id=envelope.request_id,
+            )
+        self._send_sealed(sealed, trace)
+
+    def _handle_v2_batch(self, payloads: list, plane: str) -> None:
+        if self._throttle_oversized(len(payloads)):
+            return
+        sealed: list[SealedResponse | None] = [None] * len(payloads)
+        envelopes: list[Envelope] = []
+        positions: list[int] = []
+        for index, item in enumerate(payloads):
+            try:
+                envelopes.append(envelope_from_payload(item))
+            except Exception as error:
+                # A malformed item answers in place; its request_id (when
+                # one was parseable) is still echoed for correlation.
+                request_id = (
+                    str(item.get("request_id", "")) if isinstance(item, dict) else ""
+                )
+                sealed[index] = SealedResponse(
+                    response=self._client_error("envelope", error),
+                    request_id=request_id,
+                )
+            else:
+                positions.append(index)
+        try:
+            processed = self.server.processor.process_many(envelopes, plane=plane)
+        except Exception as error:  # defensive: the processor maps errors
+            self._count("server_errors")
+            processed = [
+                SealedResponse(
+                    response=ErrorResponse(
+                        request_kind="envelope",
+                        error=type(error).__name__,
+                        message=str(error),
+                    ),
+                    request_id=envelope.request_id,
+                )
+                for envelope in envelopes
+            ]
+        for position, item in zip(positions, processed):
+            sealed[position] = item
+        body = serialization.dumps([sealed_to_payload(item) for item in sealed])
+        # Batches answer 200 with per-item sealed outcomes, mirroring /v1.
+        self._send_json(200, body)
 
 class _BoundedBodyReader:
     """``read(n)`` over a Content-Length request body (never over-reads)."""

@@ -345,8 +345,8 @@ class RequestFrame:
     #: Replay-safety marker: the shard router stamps ``prepaid`` on the
     #: sub-frames it carves so a worker spawned with ``--trust-prepaid``
     #: skips its own quota charge — the router already charged the shared
-    #: bucket once for the whole frame, so a retried or hedged sub-frame
-    #: can never charge twice.  Untrusted servers ignore the flag.
+    #: bucket once for the whole frame, so a retried sub-frame can never
+    #: charge twice.  Untrusted servers ignore the flag.
     prepaid: bool = False
 
     @property

@@ -11,7 +11,7 @@ The resilience contract pinned here:
   restores the original mapping bit-for-bit;
 * a frame split across K shards charges the fleet quota exactly its
   request count — once, at the router — refunds it on total failure, and
-  hedged duplicates never charge twice.
+  a duplicate dispatch of a prepaid sub-frame never charges twice.
 """
 
 import json
@@ -32,9 +32,9 @@ from repro.service.chaos import (
     classify_call,
 )
 from repro.service.cluster import (
-    HedgePolicy,
     RetryPolicy,
     ShardRouter,
+    ShardUnavailable,
     WorkerPool,
 )
 from repro.service.envelope import Envelope, dumps_envelope, loads_sealed
@@ -43,7 +43,7 @@ from repro.service.protocol import (
     DrainShardRequest,
     DrainShardResponse,
 )
-from repro.service.transport import V2_ADMIN_PATH, ServiceClient
+from repro.service.transport import V2_ADMIN_PATH, V2_REQUESTS_PATH, ServiceClient
 
 pytestmark = pytest.mark.chaos
 
@@ -318,14 +318,13 @@ def test_total_frame_failure_refunds_the_prepaid_charge(
             assert router.telemetry.counter_value("router.quota_refunds") == 1
 
 
-def test_hedged_dispatch_wins_races_without_double_charging(
+def test_duplicate_prepaid_subframe_dispatch_never_charges_twice(
     chaos_fleet, probes, tmp_path
 ):
-    """Aggressive hedging (duplicate past the p1 latency) duplicates nearly
-    every exchange — and the quota ledger still moves by exactly one charge
-    per request."""
+    """A post-dispatch retry re-sends a prepaid sub-frame the worker has
+    already run; the quota ledger still moves once per request."""
     registry_root = _registry_root(chaos_fleet)
-    quota_path = tmp_path / "hedge-quota.json"
+    quota_path = tmp_path / "duplicate-quota.json"
     with WorkerPool(
         2,
         registry_root=registry_root,
@@ -334,30 +333,40 @@ def test_hedged_dispatch_wins_races_without_double_charging(
         quota_path=quota_path,
         no_queue=True,
     ) as pool:
-        # Microsecond delay bounds: once armed, the hedge timer always
-        # expires before a real localhost exchange, so every armed
-        # sub-frame dispatches a duplicate.
-        hedge = HedgePolicy(
-            quantile=1.0, min_samples=2, min_delay_s=1e-6, max_delay_s=1e-5
-        )
-        with ShardRouter(
-            pool, retry_policy=HEALING_RETRIES, hedge_policy=hedge
-        ) as router:
+        with ShardRouter(pool, retry_policy=HEALING_RETRIES) as router:
+            exchange = router.worker_exchange
+            answered: set[bytes] = set()
+
+            def reply_lost_once(shard, method, path, body=None, *args):
+                result = exchange(shard, method, path, body, *args)
+                if path == V2_REQUESTS_PATH and body not in answered:
+                    # The worker ran the sub-frame but its reply is lost,
+                    # so the router re-sends the very same prepaid bytes.
+                    answered.add(body)
+                    raise ShardUnavailable(shard, "reply lost", dispatched=True)
+                return result
+
+            router.worker_exchange = reply_lost_once
+            batch = _split_across_shards(router.ring, probes)
             client = ServiceClient(
                 port=router.port, api_key=pool.api_key, codec="binary"
             )
-            submitted = 0
-            for _ in range(8):
-                batch = probes[:2]
+            n_frames = 3
+            for _ in range(n_frames):
                 responses = client.submit_many(batch)
                 assert all(
                     isinstance(r, AuthenticationResponse) for r in responses
                 )
-                submitted += len(batch)
-            assert router.telemetry.counter_value("router.hedges") > 0
-            # Exactly-once, hedges included: the ledger moved by the
-            # request count, regardless of how many duplicates raced.
+            subframes = 2 * n_frames
+            assert router.telemetry.counter_value("router.retries") == subframes
+            # One latency sample per sub-frame exchange, retries included.
+            assert router.telemetry.histogram("router.exchange").count == subframes
+            # Every sub-frame reached its worker twice, prepaid both times...
+            counters = router.fleet_metrics()["counters"]
+            assert counters["transport.prepaid_frames"] == 2 * subframes
+            # ...and the ledger moved by the request count, once.
+            assert router.telemetry.counter_value("router.quota_charges") == n_frames
             assert _quota_tokens(quota_path) == pytest.approx(
-                100.0 - submitted, abs=0.01
+                100.0 - n_frames * len(batch), abs=0.01
             )
             assert router.telemetry.counter_value("router.server_errors") == 0

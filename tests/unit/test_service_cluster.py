@@ -6,8 +6,10 @@ suite; here the router runs over in-process worker servers
 splitting, merging and failure path is exercised without process spawns.
 """
 
+import http.client
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 from collections import Counter
@@ -19,7 +21,6 @@ from repro.sensors.types import CoarseContext
 from repro.service import wirebin
 from repro.service.cluster import (
     HashRing,
-    HedgePolicy,
     RetryPolicy,
     ShardRouter,
     ShardUnavailable,
@@ -51,6 +52,9 @@ from repro.service.registry import ModelRegistry
 from repro.service.transport import (
     HEALTH_PATH,
     METRICS_PATH,
+    REQUESTS_PATH,
+    V2_ADMIN_PATH,
+    V2_REQUESTS_PATH,
     ServiceClient,
     ServiceHTTPServer,
 )
@@ -544,8 +548,78 @@ class TestHashRingExclude:
         assert positions == list(range(len(self.IDS)))
 
 
+JSON = "application/json"
+BINARY = wirebin.CONTENT_TYPE
+
+#: Malformed inputs both doors must answer alike:
+#: (case, path, Content-Type, body, Content-Length header, status, Connection).
+MALFORMED = [
+    ("unknown-path", "/v1/nope", JSON, b"{}", None, 404, "close"),
+    ("binary-on-v1", REQUESTS_PATH, BINARY, b"\0" * 8, None, 400, "close"),
+    ("malformed-json", V2_REQUESTS_PATH, JSON, b"{not json", None, 400, None),
+    ("non-utf8-v1", REQUESTS_PATH, JSON, b"\xff\xfe{}", None, 400, None),
+    ("non-utf8-v2", V2_REQUESTS_PATH, JSON, b"\xff\xfe{}", None, 400, None),
+    ("negative-length-v1", REQUESTS_PATH, JSON, b"{}", "-1", 400, "close"),
+    ("negative-length-v2", V2_REQUESTS_PATH, JSON, b"{}", "-1", 400, "close"),
+    ("negative-length-binary", V2_REQUESTS_PATH, BINARY, b"", "-1", 400, "close"),
+    ("non-integer-length", V2_REQUESTS_PATH, JSON, b"{}", "ten", 400, "close"),
+    ("huge-length", V2_REQUESTS_PATH, JSON, b"{}", "9" * 5000, 400, "close"),
+    ("non-object-v1", REQUESTS_PATH, JSON, b"42", None, 400, None),
+    ("non-object-v2", V2_REQUESTS_PATH, JSON, b'"x"', None, 400, None),
+    ("non-object-admin", V2_ADMIN_PATH, JSON, b"42", None, 400, None),
+    ("batched-admin", V2_ADMIN_PATH, JSON, b"[]", None, 400, None),
+]
+
+
+def _raw_post(port, path, content_type, body, content_length):
+    """One POST over a fresh keep-alive socket with a hand-written
+    Content-Length; returns (status, Content-Type, kind, Connection)."""
+    length = str(len(body)) if content_length is None else content_length
+    head = (
+        f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Type: {content_type}\r\nContent-Length: {length}\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+        sock.sendall(head + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        payload = json.loads(response.read())
+        return (
+            response.status,
+            response.getheader("Content-Type"),
+            payload.get("kind"),
+            response.getheader("Connection"),
+        )
+
+
+class TestDoorParity:
+    """A worker and the router over it share one HTTP door."""
+
+    @pytest.mark.parametrize(
+        "case, path, content_type, body, length, status, connection",
+        MALFORMED,
+        ids=[row[0] for row in MALFORMED],
+    )
+    def test_worker_and_router_answer_malformed_input_alike(
+        self, cluster, case, path, content_type, body, length, status, connection
+    ):
+        router, servers = cluster
+        expected = (status, JSON, "error-response", connection)
+        worker = _raw_post(servers[0].port, path, content_type, body, length)
+        routed = _raw_post(router.port, path, content_type, body, length)
+        assert worker == expected
+        assert routed == expected
+
+    def test_a_negative_length_does_not_stall_the_handler(self, cluster):
+        router, servers = cluster
+        for port in (servers[0].port, router.port):
+            started = time.monotonic()
+            assert _raw_post(port, REQUESTS_PATH, JSON, b"", "-1")[0] == 400
+            assert time.monotonic() - started < 2.0
+
+
 # --------------------------------------------------------------------- #
-# retry + hedge policies
+# retry policy
 # --------------------------------------------------------------------- #
 
 
@@ -580,20 +654,6 @@ class TestRetryPolicy:
         waits = [policy.backoff_s(0) for _ in range(200)]
         assert all(0.1 <= wait <= 0.2 for wait in waits)
         assert max(waits) > min(waits)  # actually jittered
-
-
-class TestHedgePolicy:
-    def test_validates_every_bound(self):
-        with pytest.raises(ValueError, match="quantile"):
-            HedgePolicy(quantile=0.0)
-        with pytest.raises(ValueError, match="quantile"):
-            HedgePolicy(quantile=101.0)
-        with pytest.raises(ValueError, match="min_samples"):
-            HedgePolicy(min_samples=0)
-        with pytest.raises(ValueError, match="delay bounds"):
-            HedgePolicy(min_delay_s=0.0)
-        with pytest.raises(ValueError, match="delay bounds"):
-            HedgePolicy(min_delay_s=0.5, max_delay_s=0.1)
 
 
 # --------------------------------------------------------------------- #

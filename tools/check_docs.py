@@ -41,7 +41,7 @@ DOC_FILES = (
 #: rewrite breaks operators silently, so the checker pins them.
 REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
     "docs/sharding.md": (
-        "## Retries, deadlines and hedging",
+        "## Retries and deadlines",
         "## Graceful drain and live resharding",
         "## Exactly-once quota for split frames",
         "## The shared quota store",
