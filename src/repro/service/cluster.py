@@ -332,6 +332,63 @@ class HashRing:
 
 
 # --------------------------------------------------------------------- #
+# frame merge
+# --------------------------------------------------------------------- #
+
+
+def merge_columns(
+    frame: wirebin.RequestFrame,
+    groups: Mapping[int, Sequence[int]],
+    results: Mapping[int, wirebin.ResponseFrame],
+    caller_id: str | None,
+) -> bytes:
+    """Reassemble per-shard columnar results in original request order.
+
+    *groups* maps each shard to the original positions of the requests
+    its sub-frame carried (in sub-frame order), and *results* maps it to
+    the shard's decoded response frame; the answer is the response frame
+    the unsplit frame would have produced.
+    """
+    n_requests = frame.n_requests
+    lengths = np.zeros(n_requests, dtype=np.int64)
+    versions = np.zeros(n_requests, dtype=np.int64)
+    errors: dict[int, ErrorResponse] = {}
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = (
+        [None] * n_requests
+    )
+    for shard, indices in groups.items():
+        columns = results[shard].columns
+        if columns is None:
+            raise ValueError(
+                f"shard {shard} answered a non-columnar frame for an "
+                "authenticate dispatch"
+            )
+        offsets = offsets_from_lengths(columns.lengths)
+        for position, original in enumerate(indices):
+            start, stop = int(offsets[position]), int(offsets[position + 1])
+            lengths[original] = int(columns.lengths[position])
+            versions[original] = int(columns.model_versions[position])
+            error = columns.errors.get(position)
+            if error is not None:
+                errors[original] = error
+            blocks[original] = (
+                columns.scores[start:stop],
+                columns.accepted[start:stop],
+                columns.model_context_codes[start:stop],
+            )
+    merged = ColumnarAuthResult(
+        user_ids=frame.user_ids,
+        scores=np.concatenate([block[0] for block in blocks]),
+        accepted=np.concatenate([block[1] for block in blocks]),
+        model_context_codes=np.concatenate([block[2] for block in blocks]),
+        lengths=lengths,
+        model_versions=versions,
+        errors=errors,
+    )
+    return wirebin.encode_columnar_response(merged, frame.frame_id, caller_id)
+
+
+# --------------------------------------------------------------------- #
 # worker pool
 # --------------------------------------------------------------------- #
 
@@ -1582,58 +1639,12 @@ class ShardRouter(ThreadingHTTPServer):
                 self.telemetry.increment("router.rejected_frames")
                 raise _FrameRejected(body, rejection)
         if frame.op == "authenticate":
-            body = self._merge_columns(frame, groups, results, caller_id)
+            body = merge_columns(frame, groups, results, caller_id)
         else:
             body = self._merge_payloads(frame, groups, results, caller_id)
         if trace is not None:
             trace.add_span(SPAN_SHARD_MERGE, perf_counter() - started)
         return body, None
-
-    def _merge_columns(
-        self,
-        frame: wirebin.RequestFrame,
-        groups: Mapping[int, Sequence[int]],
-        results: Mapping[int, wirebin.ResponseFrame],
-        caller_id: str | None,
-    ) -> bytes:
-        """Reassemble per-shard columnar results in original request order."""
-        n_requests = frame.n_requests
-        lengths = np.zeros(n_requests, dtype=np.int64)
-        versions = np.zeros(n_requests, dtype=np.int64)
-        errors: dict[int, ErrorResponse] = {}
-        blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = (
-            [None] * n_requests
-        )
-        for shard, indices in groups.items():
-            columns = results[shard].columns
-            if columns is None:
-                raise ValueError(
-                    f"shard {shard} answered a non-columnar frame for an "
-                    "authenticate dispatch"
-                )
-            offsets = offsets_from_lengths(columns.lengths)
-            for position, original in enumerate(indices):
-                start, stop = int(offsets[position]), int(offsets[position + 1])
-                lengths[original] = int(columns.lengths[position])
-                versions[original] = int(columns.model_versions[position])
-                error = columns.errors.get(position)
-                if error is not None:
-                    errors[original] = error
-                blocks[original] = (
-                    columns.scores[start:stop],
-                    columns.accepted[start:stop],
-                    columns.model_context_codes[start:stop],
-                )
-        merged = ColumnarAuthResult(
-            user_ids=frame.user_ids,
-            scores=np.concatenate([block[0] for block in blocks]),
-            accepted=np.concatenate([block[1] for block in blocks]),
-            model_context_codes=np.concatenate([block[2] for block in blocks]),
-            lengths=lengths,
-            model_versions=versions,
-            errors=errors,
-        )
-        return wirebin.encode_columnar_response(merged, frame.frame_id, caller_id)
 
     def _merge_payloads(
         self,

@@ -194,6 +194,69 @@ def envelope_fixtures() -> dict[str, str]:
     }
 
 
+def _merged_response() -> bytes:
+    """The router's merge of a 4-request frame split over 2 shards.
+
+    Shard 0 carries requests 0 and 3, shard 1 carries 1 and 2; request 2
+    failed on its shard and contributes zero rows.  Each shard answer
+    crosses the wire as a response frame, exactly as a worker's would.
+    """
+    from repro.service import wirebin
+    from repro.service.cluster import merge_columns
+    from repro.service.protocol import ColumnarAuthResult
+
+    names = ("alice", "bob", "carol", "dave")
+    frame = wirebin.decode_request_frame(
+        wirebin.encode_request_frame(
+            [
+                AuthenticateRequest(
+                    user_id=name,
+                    features=np.full((1 + index % 3, 2), float(index)),
+                )
+                for index, name in enumerate(names)
+            ],
+            api_key="fixture-api-key",
+            frame_id="frame-0003",
+        )
+    )
+    groups = {0: [0, 3], 1: [1, 2]}
+    shard_answers = {
+        0: ColumnarAuthResult(
+            user_ids=("alice", "dave"),
+            scores=np.array([1.5, -0.5]),
+            accepted=np.array([True, False]),
+            model_context_codes=np.array([0, 1], dtype=np.int8),
+            lengths=np.array([1, 1]),
+            model_versions=np.array([3, 1]),
+        ),
+        1: ColumnarAuthResult(
+            user_ids=("bob", "carol"),
+            scores=np.array([-1.25, 2.0]),
+            accepted=np.array([False, True]),
+            model_context_codes=np.array([1, 0], dtype=np.int8),
+            lengths=np.array([2, 0]),
+            model_versions=np.array([2, 0]),
+            errors={
+                1: ErrorResponse(
+                    request_kind="authenticate",
+                    error="KeyError",
+                    message="no active model versions published for 'carol'",
+                    user_id="carol",
+                )
+            },
+        ),
+    }
+    results = {
+        shard: wirebin.decode_response_frames(
+            wirebin.encode_columnar_response(
+                answer, frame_id=f"frame-0003-s{shard}", caller_id="device-gw"
+            )
+        )[0]
+        for shard, answer in shard_answers.items()
+    }
+    return merge_columns(frame, groups, results, "device-gw")
+
+
 def binary_fixtures() -> dict[str, bytes]:
     """Canonical binary columnar frames, name → exact frame bytes.
 
@@ -228,10 +291,20 @@ def binary_fixtures() -> dict[str, bytes]:
         lengths=np.array([2, 1]),
         model_versions=np.array([3, 1]),
     )
+    frame_authenticate = wirebin.encode_request_frame(
+        auth_requests, api_key="fixture-api-key", frame_id="frame-0001"
+    )
     return {
-        "frame-authenticate": wirebin.encode_request_frame(
-            auth_requests, api_key="fixture-api-key", frame_id="frame-0001"
+        "frame-authenticate": frame_authenticate,
+        # The router's split: the two requests reordered, so the gathered
+        # window rows (bob's, then alice's two) run against frame order.
+        "frame-slice-authenticate": wirebin.encode_frame_slice(
+            wirebin.decode_request_frame(frame_authenticate),
+            [1, 0],
+            frame_id="frame-0001-s1",
+            prepaid=True,
         ),
+        "frame-response-merged": _merged_response(),
         "frame-enroll": wirebin.encode_request_frame(
             enroll_requests, api_key="fixture-api-key", frame_id="frame-0002"
         ),
@@ -331,6 +404,28 @@ def test_golden_binary_request_frames_still_parse():
     )
     assert response.frame_id == "frame-0001"
     assert len(response.to_responses()) == 2
+
+
+def test_golden_split_and_merge_frames_decode():
+    from repro.service import wirebin
+
+    sliced = wirebin.decode_request_frame(
+        (FIXTURE_DIR / "frame-slice-authenticate.bin").read_bytes()
+    )
+    assert sliced.user_ids == ("bob", "alice")
+    assert sliced.prepaid is True
+    assert sliced.lengths.tolist() == [1, 2]
+    assert sliced.features.tolist() == [[1.0, 2.0], [0.5, -1.25], [3.0, 0.0]]
+    assert sliced.versions == (None, 3)
+    (merged,) = wirebin.decode_response_frames(
+        (FIXTURE_DIR / "frame-response-merged.bin").read_bytes()
+    )
+    columns = merged.columns
+    assert columns.user_ids == ("alice", "bob", "carol", "dave")
+    assert columns.lengths.tolist() == [1, 2, 0, 1]
+    assert columns.scores.tolist() == [1.5, -1.25, 2.0, -0.5]
+    assert columns.model_versions.tolist() == [3, 2, 0, 1]
+    assert sorted(columns.errors) == [2]
 
 
 def _regenerate() -> None:
