@@ -202,6 +202,19 @@ def offsets_from_lengths(lengths: Sequence[int] | np.ndarray) -> np.ndarray:
     return offsets
 
 
+def gather_rows(
+    starts: Sequence[int] | np.ndarray, lengths: Sequence[int] | np.ndarray
+) -> np.ndarray:
+    """Row index that lays blocks ``[starts[i], starts[i] + lengths[i])``
+    back to back, in block order — one ``np.repeat`` plus one ``arange``,
+    however many blocks.  Indexing a column with it is the one-gather form
+    of concatenating the blocks' slices."""
+    starts = np.asarray(starts, dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    shifts = starts - offsets_from_lengths(lengths)[:-1]
+    return np.arange(int(lengths.sum()), dtype=np.intp) + np.repeat(shifts, lengths)
+
+
 def canonicalize_rows(features: np.ndarray) -> np.ndarray:
     """Canonicalise window features: float dtype, a lone vector becomes one row.
 

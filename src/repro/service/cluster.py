@@ -78,6 +78,7 @@ import tempfile
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import sha256
 from http.client import HTTPConnection, HTTPException
 from http.server import ThreadingHTTPServer
@@ -87,7 +88,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.scoring import offsets_from_lengths
+from repro.core.scoring import gather_rows, offsets_from_lengths
 from repro.service import wirebin
 from repro.service.envelope import (
     CODE_UNKNOWN_KEY,
@@ -148,6 +149,11 @@ CLUSTER_CALLER_ID = "cluster-operator"
 #: key-space split (64 keeps the largest/smallest shard within a few
 #: percent of each other at 4 shards) at O(n_shards * replicas) ring size.
 RING_REPLICAS = 64
+
+#: Users whose ring point stays memoized.  A constant, not a setting:
+#: user ids arrive from callers, so the cache must stay bounded whatever
+#: ids they choose (a few MB at the bound).
+RING_POINT_CACHE_SIZE = 1 << 15
 
 
 class ShardUnavailable(ConnectionError):
@@ -258,6 +264,13 @@ class RetryPolicy:
 # --------------------------------------------------------------------- #
 
 
+@lru_cache(maxsize=RING_POINT_CACHE_SIZE)
+def _ring_point(user_id: str) -> int:
+    """*user_id*'s position on every ring: the first 8 bytes of its
+    SHA-256, memoized so a frame's repeat users skip the hash."""
+    return int.from_bytes(sha256(user_id.encode("utf-8")).digest()[:8], "big")
+
+
 class HashRing:
     """Consistent-hash ring over shard indices (deterministic everywhere).
 
@@ -305,9 +318,7 @@ class HashRing:
         ValueError
             If *exclude* covers every shard.
         """
-        digest = sha256(user_id.encode("utf-8")).digest()
-        point = int.from_bytes(digest[:8], "big")
-        index = bisect_right(self._points, point) % len(self._points)
+        index = bisect_right(self._points, _ring_point(user_id)) % len(self._points)
         if not exclude:
             return self._shards[index]
         excluded = frozenset(exclude)
@@ -352,10 +363,11 @@ def merge_columns(
     n_requests = frame.n_requests
     lengths = np.zeros(n_requests, dtype=np.int64)
     versions = np.zeros(n_requests, dtype=np.int64)
+    # Where each request's rows start in the shards' concatenated columns.
+    starts = np.zeros(n_requests, dtype=np.intp)
     errors: dict[int, ErrorResponse] = {}
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = (
-        [None] * n_requests
-    )
+    shard_columns: list[ColumnarAuthResult] = []
+    base = 0
     for shard, indices in groups.items():
         columns = results[shard].columns
         if columns is None:
@@ -363,24 +375,32 @@ def merge_columns(
                 f"shard {shard} answered a non-columnar frame for an "
                 "authenticate dispatch"
             )
-        offsets = offsets_from_lengths(columns.lengths)
-        for position, original in enumerate(indices):
-            start, stop = int(offsets[position]), int(offsets[position + 1])
-            lengths[original] = int(columns.lengths[position])
-            versions[original] = int(columns.model_versions[position])
-            error = columns.errors.get(position)
-            if error is not None:
-                errors[original] = error
-            blocks[original] = (
-                columns.scores[start:stop],
-                columns.accepted[start:stop],
-                columns.model_context_codes[start:stop],
+        if columns.n_requests != len(indices):
+            raise ValueError(
+                f"shard {shard} answered {columns.n_requests} result(s) for "
+                f"{len(indices)} request(s)"
             )
+        originals = np.asarray(indices, dtype=np.intp)
+        lengths[originals] = columns.lengths
+        versions[originals] = columns.model_versions
+        starts[originals] = offsets_from_lengths(columns.lengths)[:-1] + base
+        base += len(columns.scores)
+        for position, error in columns.errors.items():
+            if not 0 <= position < len(originals):
+                raise ValueError(
+                    f"shard {shard} answered an error for request position "
+                    f"{position} of {len(originals)}"
+                )
+            errors[int(originals[position])] = error
+        shard_columns.append(columns)
+    rows = gather_rows(starts, lengths)
     merged = ColumnarAuthResult(
         user_ids=frame.user_ids,
-        scores=np.concatenate([block[0] for block in blocks]),
-        accepted=np.concatenate([block[1] for block in blocks]),
-        model_context_codes=np.concatenate([block[2] for block in blocks]),
+        scores=np.concatenate([c.scores for c in shard_columns])[rows],
+        accepted=np.concatenate([c.accepted for c in shard_columns])[rows],
+        model_context_codes=np.concatenate(
+            [c.model_context_codes for c in shard_columns]
+        )[rows],
         lengths=lengths,
         model_versions=versions,
         errors=errors,

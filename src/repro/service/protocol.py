@@ -412,24 +412,26 @@ class ColumnarAuthResult:
         uses it so callers of ``submit_many`` see exactly the responses the
         JSON codec would have produced.
         """
-        offsets = offsets_from_lengths(self.lengths)
+        offsets = offsets_from_lengths(self.lengths).tolist()
+        versions = np.asarray(self.model_versions, dtype=np.int64).tolist()
+        # One gather decodes the whole block; each request takes a slice.
+        contexts = decode_contexts(self.model_context_codes)
+        errors = self.errors
         responses: list[Response] = []
-        for index in range(self.n_requests):
-            error = self.errors.get(index)
+        for index, user_id in enumerate(self.user_ids):
+            error = errors.get(index)
             if error is not None:
                 responses.append(error)
                 continue
-            start, stop = int(offsets[index]), int(offsets[index + 1])
+            start, stop = offsets[index], offsets[index + 1]
             responses.append(
                 AuthenticationResponse(
-                    user_id=self.user_ids[index],
+                    user_id=user_id,
                     result=BatchScoreResult(
                         scores=self.scores[start:stop],
                         accepted=self.accepted[start:stop],
-                        model_contexts=decode_contexts(
-                            self.model_context_codes[start:stop]
-                        ),
-                        model_version=int(self.model_versions[index]),
+                        model_contexts=contexts[start:stop],
+                        model_version=versions[index],
                     ),
                 )
             )

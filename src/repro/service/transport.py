@@ -238,7 +238,8 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
     * ``GET /healthz`` (``server.health()``) and ``GET /metrics`` (JSON,
       or Prometheus text when the client accepts ``text/plain``);
     * the POST prologue: unknown path → 404, content negotiation, binary
-      frames outside ``/v2/requests`` → 400, one body read bounded by a
+      frames outside ``/v2/requests`` → 400, a JSON body sent with a
+      ``Transfer-Encoding`` → 400 and close, one body read bounded by a
       validated ``Content-Length``, JSON decode, and the body-shape checks;
     * the streaming binary-frame loop: frames dispatch one at a time, the
       answers spool, a torn stream delivers the executed frames plus a
@@ -424,6 +425,21 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
                 TypeError(
                     f"binary batch frames ({wirebin.CONTENT_TYPE}) "
                     f"are accepted only at {V2_REQUESTS_PATH}"
+                ),
+            )
+            return
+        transfer_encoding = (self.headers.get("Transfer-Encoding") or "").strip()
+        if transfer_encoding and not binary:
+            # Only binary frame streams are read chunk by chunk; the JSON
+            # body's end is unknowable, and its leftover bytes must not be
+            # parsed as a next request.
+            self.close_connection = True
+            self._reject(
+                "transport",
+                ValueError(
+                    "JSON bodies must be sent with a Content-Length; "
+                    f"Transfer-Encoding {transfer_encoding[:32]!r} is accepted "
+                    f"only for binary frame streams ({wirebin.CONTENT_TYPE})"
                 ),
             )
             return

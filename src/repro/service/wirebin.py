@@ -73,6 +73,7 @@ from repro.core.scoring import (
     CONTEXT_BY_CODE,
     decode_contexts,
     encode_contexts,
+    gather_rows,
     offsets_from_lengths,
 )
 from repro.features.vector import FeatureMatrix
@@ -113,6 +114,9 @@ MAX_HEADER_BYTES = 64 * 1024 * 1024
 MAX_PAYLOAD_BYTES = 1 << 30
 
 _PRELUDE = struct.Struct("<4sIQ")
+
+#: Section padding source (every pad is shorter than 8 bytes).
+_ZEROS = bytes(8)
 
 #: Context label per code, for rebuilding FeatureMatrix context lists.
 _CONTEXT_LABELS = tuple(context.value for context in CONTEXT_BY_CODE)
@@ -205,19 +209,41 @@ def batch_op(requests: Sequence[Request]) -> str | None:
 # --------------------------------------------------------------------- #
 
 
-def _assemble(header: dict[str, Any], sections: Sequence[bytes]) -> bytes:
-    header_bytes = json.dumps(
-        serialization.to_jsonable(header), sort_keys=True, separators=(",", ":")
+def _numpy_jsonable(value: Any) -> Any:
+    """``json.dumps`` fallback: convert the NumPy values the C encoder
+    cannot serialise, under :func:`serialization.to_jsonable`'s rules."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return serialization.to_jsonable(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _header_bytes(header: dict[str, Any]) -> bytes:
+    """The header's JSON text under the JSON wire codec's rules.
+
+    Plain ``str``/``int``/``None`` values — the 500-entry user-id and
+    version lists — go straight to the C encoder unconverted; only NumPy
+    values reach the conversion hook.
+    """
+    return json.dumps(
+        header, sort_keys=True, separators=(",", ":"), default=_numpy_jsonable
     ).encode("utf-8")
-    frame = bytearray()
-    payload_length = sum(len(section) + _pad8(len(section)) for section in sections)
-    frame += _PRELUDE.pack(MAGIC, len(header_bytes), payload_length)
-    frame += header_bytes
-    frame += b"\x00" * _pad8(_PRELUDE.size + len(header_bytes))
-    for section in sections:
-        frame += section
-        frame += b"\x00" * _pad8(len(section))
-    return bytes(frame)
+
+
+def _assemble(header: dict[str, Any], sections: Sequence[np.ndarray]) -> bytes:
+    """One frame: prelude, header, then the C-contiguous *sections* in
+    their wire dtypes — the payload is copied once, into the result."""
+    header_bytes = _header_bytes(header)
+    sizes = [section.nbytes for section in sections]
+    parts: list[Any] = [
+        _PRELUDE.pack(
+            MAGIC, len(header_bytes), sum(size + _pad8(size) for size in sizes)
+        ),
+        header_bytes,
+        _ZEROS[: _pad8(_PRELUDE.size + len(header_bytes))],
+    ]
+    for section, size in zip(sections, sizes):
+        parts += (section, _ZEROS[: _pad8(size)])
+    return b"".join(parts)
 
 
 def encode_request_frame(
@@ -264,10 +290,6 @@ def encode_request_frame(
         "n_requests": len(requests),
         "user_ids": [request.user_id for request in requests],
     }
-    lengths_section = bytearray()
-    features_section = bytearray()
-    codes_section = bytearray()
-    n_windows = 0
     if op == "authenticate":
         has_contexts = requests[0].contexts is not None
         header["has_contexts"] = has_contexts
@@ -276,19 +298,11 @@ def encode_request_frame(
             versions if any(version is not None for version in versions) else None
         )
         header["n_features"] = int(requests[0].features.shape[1])
-        for request in requests:
-            n_windows += len(request.features)
-            features_section += np.ascontiguousarray(
-                request.features, dtype=_DTYPE_FEATURES
-            ).tobytes()
-            if has_contexts:
-                codes_section += np.ascontiguousarray(
-                    request.context_codes, dtype=_DTYPE_CODES
-                ).tobytes()
-        lengths = np.fromiter(
-            (len(request.features) for request in requests),
-            dtype=_DTYPE_LENGTHS,
-            count=len(requests),
+        blocks = [request.features for request in requests]
+        codes = (
+            np.concatenate([request.context_codes for request in requests])
+            if has_contexts
+            else None
         )
     else:
         header["has_contexts"] = has_contexts = True
@@ -296,24 +310,23 @@ def encode_request_frame(
         header["n_features"] = int(requests[0].matrix.n_features)
         if op == "enroll":
             header["train"] = [request.train for request in requests]
-        for request in requests:
-            matrix = request.matrix
-            n_windows += len(matrix)
-            features_section += np.ascontiguousarray(
-                matrix.values, dtype=_DTYPE_FEATURES
-            ).tobytes()
-            codes_section += encode_contexts(
-                np.asarray(matrix.contexts)
-            ).tobytes()
-        lengths = np.fromiter(
-            (len(request.matrix) for request in requests),
-            dtype=_DTYPE_LENGTHS,
-            count=len(requests),
+        blocks = [request.matrix.values for request in requests]
+        codes = np.concatenate(
+            [
+                encode_contexts(np.asarray(request.matrix.contexts))
+                for request in requests
+            ]
         )
-    header["n_windows"] = n_windows
-    sections = [lengths.tobytes(), bytes(features_section)]
+    lengths = np.fromiter(
+        (len(block) for block in blocks), dtype=_DTYPE_LENGTHS, count=len(blocks)
+    )
+    header["n_windows"] = int(lengths.sum())
+    sections = [
+        lengths,
+        np.ascontiguousarray(np.concatenate(blocks), dtype=_DTYPE_FEATURES),
+    ]
     if has_contexts:
-        sections.append(bytes(codes_section))
+        sections.append(np.ascontiguousarray(codes, dtype=_DTYPE_CODES))
     return _assemble(header, sections)
 
 
@@ -453,33 +466,28 @@ def encode_frame_slice(
     *prepaid* stamps (or clears) the sub-frame's replay-safety marker;
     ``None`` inherits the parent frame's flag.
     """
-    order = [int(index) for index in indices]
-    if not order:
+    order = np.asarray(indices, dtype=np.intp)
+    if not len(order):
         raise ValueError("cannot slice a frame to zero requests")
-    for index in order:
-        if not 0 <= index < frame.n_requests:
-            raise ValueError(
-                f"request index {index} out of range for a frame of "
-                f"{frame.n_requests} request(s)"
-            )
-    offsets = offsets_from_lengths(frame.lengths)
-    spans = [(int(offsets[index]), int(offsets[index + 1])) for index in order]
-    lengths = np.asarray(
-        [stop - start for start, stop in spans], dtype=_DTYPE_LENGTHS
-    )
+    outside = (order < 0) | (order >= frame.n_requests)
+    if outside.any():
+        raise ValueError(
+            f"request index {int(order[outside.argmax()])} out of range for a "
+            f"frame of {frame.n_requests} request(s)"
+        )
+    lengths = np.asarray(frame.lengths)[order]
+    rows = gather_rows(offsets_from_lengths(frame.lengths)[order], lengths)
     n_features = int(frame.features.shape[1]) if frame.features.ndim == 2 else 0
-    features = np.concatenate(
-        [frame.features[start:stop] for start, stop in spans]
-    ) if spans else frame.features[:0]
+    positions = order.tolist()
     header: dict[str, Any] = {
         "kind": REQUEST_FRAME_KIND,
         "op": frame.op,
         "api_version": frame.api_version,
         "api_key": frame.api_key,
         "frame_id": frame_id if frame_id is not None else new_frame_id(),
-        "n_requests": len(order),
-        "user_ids": [frame.user_ids[index] for index in order],
-        "n_windows": int(lengths.sum()),
+        "n_requests": len(positions),
+        "user_ids": [frame.user_ids[index] for index in positions],
+        "n_windows": len(rows),
         "n_features": n_features,
     }
     if frame.prepaid if prepaid is None else prepaid:
@@ -489,7 +497,7 @@ def encode_frame_slice(
         versions = (
             None
             if frame.versions is None
-            else [frame.versions[index] for index in order]
+            else [frame.versions[index] for index in positions]
         )
         header["versions"] = (
             versions
@@ -502,17 +510,16 @@ def encode_frame_slice(
         if frame.op == "enroll":
             train = None if frame.train is None else frame.train
             header["train"] = [
-                None if train is None else train[index] for index in order
+                None if train is None else train[index] for index in positions
             ]
     sections = [
-        lengths.tobytes(),
-        np.ascontiguousarray(features, dtype=_DTYPE_FEATURES).tobytes(),
+        np.ascontiguousarray(lengths, dtype=_DTYPE_LENGTHS),
+        np.ascontiguousarray(frame.features[rows], dtype=_DTYPE_FEATURES),
     ]
     if frame.context_codes is not None:
-        codes = np.concatenate(
-            [frame.context_codes[start:stop] for start, stop in spans]
-        ) if spans else frame.context_codes[:0]
-        sections.append(np.ascontiguousarray(codes, dtype=_DTYPE_CODES).tobytes())
+        sections.append(
+            np.ascontiguousarray(frame.context_codes[rows], dtype=_DTYPE_CODES)
+        )
     return _assemble(header, sections)
 
 
@@ -587,7 +594,10 @@ class FrameReader:
                 f"binary frame header must be a JSON object, got "
                 f"{type(header).__name__}"
             )
-        header = serialization.from_jsonable(header)
+        if b"__ndarray__" in header_bytes:
+            # Only a header carrying an encoded array needs the (recursive)
+            # conversion; the usual one is plain JSON already.
+            header = serialization.from_jsonable(header)
         pad = _pad8(_PRELUDE.size + header_length)
         if pad:
             self._read_exact(pad, "header padding")
@@ -763,21 +773,19 @@ def encode_columnar_response(
         "n_requests": result.n_requests,
         "n_windows": int(result.lengths.sum()),
         "user_ids": list(result.user_ids),
-        "model_versions": [int(version) for version in result.model_versions],
+        "model_versions": np.asarray(
+            result.model_versions, dtype=np.int64
+        ).tolist(),
         "errors": {
             str(index): response_to_payload(error)
             for index, error in sorted(result.errors.items())
         },
     }
     sections = [
-        np.ascontiguousarray(result.lengths, dtype=_DTYPE_LENGTHS).tobytes(),
-        np.ascontiguousarray(result.scores, dtype=_DTYPE_FEATURES).tobytes(),
-        np.ascontiguousarray(
-            result.accepted, dtype=_DTYPE_ACCEPTED
-        ).tobytes(),
-        np.ascontiguousarray(
-            result.model_context_codes, dtype=_DTYPE_CODES
-        ).tobytes(),
+        np.ascontiguousarray(result.lengths, dtype=_DTYPE_LENGTHS),
+        np.ascontiguousarray(result.scores, dtype=_DTYPE_FEATURES),
+        np.ascontiguousarray(result.accepted, dtype=_DTYPE_ACCEPTED),
+        np.ascontiguousarray(result.model_context_codes, dtype=_DTYPE_CODES),
     ]
     return _assemble(header, sections)
 

@@ -25,6 +25,7 @@ from repro.service.cluster import (
     ShardRouter,
     ShardUnavailable,
     StaticEndpoints,
+    merge_columns,
 )
 from repro.service.envelope import (
     SCOPE_ADMIN,
@@ -41,6 +42,7 @@ from repro.service.gateway import AuthenticationGateway
 from repro.service.protocol import (
     AuthenticateRequest,
     AuthenticationResponse,
+    ColumnarAuthResult,
     DrainShardRequest,
     DrainShardResponse,
     ErrorResponse,
@@ -185,6 +187,46 @@ class TestEncodeFrameSlice:
             wirebin.encode_frame_slice(paid, [0])
         )
         assert echoed.prepaid is True
+
+
+class TestMergeColumns:
+    """A shard answer that disagrees with its sub-frame is refused."""
+
+    @staticmethod
+    def _shard_answer(n_requests, errors=None):
+        result = ColumnarAuthResult(
+            user_ids=tuple(f"user-{i:03d}" for i in range(n_requests)),
+            scores=np.zeros(n_requests),
+            accepted=np.zeros(n_requests, dtype=bool),
+            model_context_codes=np.zeros(n_requests, dtype=np.int8),
+            lengths=np.ones(n_requests, dtype=np.int64),
+            model_versions=np.ones(n_requests, dtype=np.int64),
+            errors=errors or {},
+        )
+        (frame,) = wirebin.decode_response_frames(
+            wirebin.encode_columnar_response(result, "f", "c")
+        )
+        return frame
+
+    def test_a_wrong_request_count_is_refused(self):
+        frame = wirebin.decode_request_frame(
+            wirebin.encode_request_frame(_auth_requests(3), api_key=API_KEY)
+        )
+        answers = {0: self._shard_answer(1), 1: self._shard_answer(1)}
+        with pytest.raises(ValueError, match="1 result"):
+            merge_columns(frame, {0: [0, 2], 1: [1]}, answers, "c")
+
+    def test_an_out_of_range_error_position_is_refused(self):
+        frame = wirebin.decode_request_frame(
+            wirebin.encode_request_frame(_auth_requests(2), api_key=API_KEY)
+        )
+        error = ErrorResponse(
+            request_kind="authenticate", error="KeyError", message="x"
+        )
+        with pytest.raises(ValueError, match="request position -1"):
+            merge_columns(
+                frame, {0: [0, 1]}, {0: self._shard_answer(2, {-1: error})}, "c"
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -609,6 +651,31 @@ class TestDoorParity:
         routed = _raw_post(router.port, path, content_type, body, length)
         assert worker == expected
         assert routed == expected
+
+    @pytest.mark.parametrize("path", [REQUESTS_PATH, V2_REQUESTS_PATH, V2_ADMIN_PATH])
+    def test_a_chunked_json_body_answers_400_and_closes(self, cluster, path):
+        # The leftover chunk bytes and a pipelined GET must not be parsed
+        # as further requests: exactly one typed answer, then EOF.
+        router, servers = cluster
+        sent = (
+            f"POST {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Type: {JSON}\r\nTransfer-Encoding: chunked\r\n\r\n"
+            "2\r\n{}\r\n0\r\n\r\n"
+            f"GET {HEALTH_PATH} HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+        ).encode("ascii")
+        for port in (servers[0].port, router.port):
+            with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+                sock.sendall(sent)
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+            assert received.count(b"HTTP/1.") == 1
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400")
+            assert b"\r\nConnection: close" in head
+            payload = json.loads(body)
+            assert payload["kind"] == "error-response"
+            assert "Content-Length" in payload["message"]
 
     def test_a_negative_length_does_not_stall_the_handler(self, cluster):
         router, servers = cluster

@@ -1,5 +1,7 @@
 """Unit tests for the binary columnar wire codec (repro.service.wirebin)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.service.protocol import (
     ThrottledResponse,
     dumps_request,
 )
+from repro.utils import serialization
 
 
 def _auth(user="alice", rows=3, width=4, contexts=True, version=None, seed=0):
@@ -178,6 +181,28 @@ class TestRoundTrip:
             )
         ]
         assert ops == ["authenticate", "enroll"]
+
+    def test_numpy_header_values_convert_under_the_json_wire_rules(self):
+        # Plain lists skip the conversion; NumPy values must still come
+        # out exactly as serialization.to_jsonable renders them.
+        header = {
+            "kind": wirebin.RESPONSE_FRAME_KIND,
+            "plain": ["a", 1, None, True, 0.5],
+            "scalars": [np.int64(3), np.float32(0.25), np.bool_(True)],
+            "array": np.arange(3, dtype=np.int16),
+            "nested": {"versions": (np.int32(2), None)},
+        }
+        expected = json.dumps(
+            serialization.to_jsonable(header), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        assert wirebin._header_bytes(header) == expected
+        data = wirebin._assemble(header, [])
+        reader = wirebin.FrameReader(wirebin._buffer_reader(data))
+        decoded, payload = reader.next_frame()
+        assert decoded["array"].dtype == np.int16
+        assert decoded["array"].tolist() == [0, 1, 2]
+        assert decoded["plain"] == ["a", 1, None, True, 0.5]
+        assert not len(payload)
 
     def test_unencodable_batch_raises(self):
         with pytest.raises(ValueError, match="not frame-encodable"):
