@@ -238,9 +238,10 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
     * ``GET /healthz`` (``server.health()``) and ``GET /metrics`` (JSON,
       or Prometheus text when the client accepts ``text/plain``);
     * the POST prologue: unknown path → 404, content negotiation, binary
-      frames outside ``/v2/requests`` → 400, a JSON body sent with a
-      ``Transfer-Encoding`` → 400 and close, one body read bounded by a
-      validated ``Content-Length``, JSON decode, and the body-shape checks;
+      frames outside ``/v2/requests`` → 400, any ``Transfer-Encoding``
+      but a chunked binary stream → 400 and close, one body read bounded
+      by a validated ``Content-Length``, JSON decode, and the body-shape
+      checks;
     * the streaming binary-frame loop: frames dispatch one at a time, the
       answers spool, a torn stream delivers the executed frames plus a
       typed abort marker, and a single rejected frame answers with the
@@ -429,17 +430,19 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
             )
             return
         transfer_encoding = (self.headers.get("Transfer-Encoding") or "").strip()
-        if transfer_encoding and not binary:
-            # Only binary frame streams are read chunk by chunk; the JSON
+        if transfer_encoding and not (
+            binary and transfer_encoding.lower() == "chunked"
+        ):
+            # Only binary frame streams are read chunk by chunk; any other
             # body's end is unknowable, and its leftover bytes must not be
             # parsed as a next request.
             self.close_connection = True
             self._reject(
                 "transport",
                 ValueError(
-                    "JSON bodies must be sent with a Content-Length; "
-                    f"Transfer-Encoding {transfer_encoding[:32]!r} is accepted "
-                    f"only for binary frame streams ({wirebin.CONTENT_TYPE})"
+                    f"Transfer-Encoding {transfer_encoding[:32]!r} is not "
+                    f"accepted: only binary frame streams ({wirebin.CONTENT_TYPE}) "
+                    "may be sent chunked; send other bodies with a Content-Length"
                 ),
             )
             return
@@ -555,7 +558,8 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
         truncated frame answers a typed 400 ``error-response`` (JSON) and
         closes the connection, never a stack trace.
         """
-        if (self.headers.get("Transfer-Encoding") or "").lower() == "chunked":
+        if (self.headers.get("Transfer-Encoding") or "").strip():
+            # _post admits no Transfer-Encoding here but "chunked".
             read = _ChunkedBodyReader(self.rfile).read
         else:
             read = _BoundedBodyReader(self.rfile, length).read

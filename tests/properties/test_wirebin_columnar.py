@@ -43,7 +43,9 @@ def routed_frames(draw):
     """A random authenticate batch plus its shard grouping and failures."""
     n_requests = draw(st.integers(1, 40))
     n_features = draw(st.integers(1, 4))
-    lengths = draw(st.lists(st.integers(1, 6), min_size=n_requests, max_size=n_requests))
+    lengths = draw(
+        st.lists(st.integers(1, 6), min_size=n_requests, max_size=n_requests)
+    )
     # A small id pool, so a frame may name one user more than once.
     users = draw(
         st.lists(st.integers(0, 30), min_size=n_requests, max_size=n_requests)
