@@ -78,7 +78,6 @@ import tempfile
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from hashlib import sha256
 from http.client import HTTPConnection, HTTPException
 from http.server import ThreadingHTTPServer
@@ -149,11 +148,6 @@ CLUSTER_CALLER_ID = "cluster-operator"
 #: key-space split (64 keeps the largest/smallest shard within a few
 #: percent of each other at 4 shards) at O(n_shards * replicas) ring size.
 RING_REPLICAS = 64
-
-#: Users whose ring point stays memoized.  A constant, not a setting:
-#: user ids arrive from callers, so the cache must stay bounded whatever
-#: ids they choose (a few MB at the bound).
-RING_POINT_CACHE_SIZE = 1 << 15
 
 
 class ShardUnavailable(ConnectionError):
@@ -264,13 +258,6 @@ class RetryPolicy:
 # --------------------------------------------------------------------- #
 
 
-@lru_cache(maxsize=RING_POINT_CACHE_SIZE)
-def _ring_point(user_id: str) -> int:
-    """*user_id*'s position on every ring: the first 8 bytes of its
-    SHA-256, memoized so a frame's repeat users skip the hash."""
-    return int.from_bytes(sha256(user_id.encode("utf-8")).digest()[:8], "big")
-
-
 class HashRing:
     """Consistent-hash ring over shard indices (deterministic everywhere).
 
@@ -318,7 +305,9 @@ class HashRing:
         ValueError
             If *exclude* covers every shard.
         """
-        index = bisect_right(self._points, _ring_point(user_id)) % len(self._points)
+        digest = sha256(user_id.encode("utf-8")).digest()
+        point = int.from_bytes(digest[:8], "big")
+        index = bisect_right(self._points, point) % len(self._points)
         if not exclude:
             return self._shards[index]
         excluded = frozenset(exclude)
