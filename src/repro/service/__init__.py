@@ -129,7 +129,7 @@ from repro.service.protocol import (
     ThrottledResponse,
 )
 from repro.service.registry import ModelRecord, ModelRegistry
-from repro.service.telemetry import Counter, LatencyRecorder, TelemetryHub
+from repro.service.telemetry import Counter, TelemetryHub
 from repro.service.transport import (
     DeadlineExceeded,
     ServiceClient,
@@ -170,7 +170,6 @@ __all__ = [
     "FleetSimulator",
     "FusedStackCache",
     "HashRing",
-    "LatencyRecorder",
     "MicroBatchQueue",
     "ModelRecord",
     "ModelRegistry",

@@ -1595,7 +1595,7 @@ class ShardRouter(ThreadingHTTPServer):
                     idempotent=idempotent,
                     deadline_s=deadline_s,
                 )
-                self.telemetry.observe(
+                self.telemetry.record(
                     "router.exchange", perf_counter() - exchange_started
                 )
                 if not data.startswith(wirebin.MAGIC):
@@ -1687,10 +1687,9 @@ class ShardRouter(ThreadingHTTPServer):
         Counters sum (including the per-caller ``callers.*`` series),
         histogram families merge bucket-wise — exactly equivalent to the
         union of the worker streams — and the router's own ``router.*``
-        counters ride along.  Workers' sliding-window latency summaries
-        are per-process by construction (raw sample windows do not merge)
-        and are deliberately omitted; the histograms carry the mergeable
-        quantiles.
+        counters ride along.  Workers' JSON ``latencies`` summaries are
+        not re-read: they are views of the same histograms, whose merged
+        counts carry the fleet quantiles.
         """
         counters: dict[str, int] = {}
         callers: dict[str, dict[str, Any]] = {}

@@ -1,21 +1,18 @@
-"""Service telemetry: counters, latency statistics and mergeable histograms.
+"""Service telemetry: counters and mergeable latency histograms.
 
 Every gateway operation increments named counters and records wall-clock
 latencies so the fleet simulator (and operators of a real deployment) can
 report throughput, acceptance rates and latency percentiles without any
 external dependency.
 
-Two latency representations live side by side, because they answer
-different questions:
-
-* :class:`LatencyRecorder` keeps a sliding window of recent raw samples —
-  exact recent percentiles, but windows from two processes cannot be
-  combined into fleet-wide percentiles;
-* :class:`Histogram` keeps fixed log-spaced bucket counts — quantiles are
-  interpolated (bounded relative error set by the bucket ratio), but two
-  snapshots **merge by summing counts**, so p50/p95/p99 survive
-  aggregation across shard workers.  Every :meth:`TelemetryHub.record`
-  feeds both.
+One latency representation serves every reader: :class:`Histogram` keeps
+fixed log-spaced bucket counts since its creation or the hub's last
+:meth:`~TelemetryHub.reset`.  Count, total, mean and max are exact;
+p50/p95/p99 are interpolated inside the covering bucket (bounded relative
+error set by the bucket ratio).  Two snapshots **merge by summing
+counts**, so the same quantiles survive aggregation across shard workers.
+The JSON ``/metrics`` ``latencies`` entries, the Prometheus ``_seconds``
+families and the router's merged fleet view all read these counts.
 
 :func:`render_prometheus` serialises a hub into the Prometheus text
 exposition format (the ``GET /metrics`` content-negotiated form), with
@@ -29,10 +26,8 @@ import threading
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Mapping, Sequence
-
-import numpy as np
 
 
 @dataclass
@@ -48,79 +43,6 @@ class Counter:
             raise ValueError(f"counters only move forward; got amount={amount}")
         self.value += amount
         return self.value
-
-
-@dataclass
-class LatencyRecorder:
-    """Accumulates observed durations (seconds) for one named operation.
-
-    Memory stays bounded in a long-lived service: ``count``, ``total`` and
-    ``max`` are exact over the recorder's lifetime, while percentiles are
-    computed over a sliding window of the most recent ``max_samples``
-    observations (recent latency is what an operator acts on).
-    """
-
-    name: str
-    max_samples: int = 4096
-    _samples: list[float] = field(default_factory=list)
-    _next: int = 0
-    _count: int = 0
-    _total: float = 0.0
-    _max: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.max_samples < 1:
-            raise ValueError("max_samples must be >= 1")
-
-    def record(self, seconds: float) -> None:
-        """Record one observed duration."""
-        if seconds < 0.0:
-            raise ValueError(f"latency cannot be negative; got {seconds}")
-        seconds = float(seconds)
-        self._count += 1
-        self._total += seconds
-        self._max = max(self._max, seconds)
-        if len(self._samples) < self.max_samples:
-            self._samples.append(seconds)
-        else:
-            self._samples[self._next] = seconds
-            self._next = (self._next + 1) % self.max_samples
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def total_seconds(self) -> float:
-        return self._total
-
-    @property
-    def mean_seconds(self) -> float:
-        return self._total / self._count if self._count else 0.0
-
-    @property
-    def max_seconds(self) -> float:
-        return self._max
-
-    def percentile_seconds(self, q: float) -> float:
-        """The *q*-th percentile (0–100) over the recent sample window."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        return float(np.percentile(self._samples, q))
-
-    def summary(self) -> dict[str, float]:
-        """Plain-type summary suitable for JSON serialization."""
-        return {
-            "count": self.count,
-            "total_s": self.total_seconds,
-            "mean_s": self.mean_seconds,
-            "p50_s": self.percentile_seconds(50.0),
-            "p95_s": self.percentile_seconds(95.0),
-            "p99_s": self.percentile_seconds(99.0),
-            "max_s": self.max_seconds,
-        }
 
 
 def _default_bounds() -> tuple[float, ...]:
@@ -241,7 +163,7 @@ class Histogram:
         return self
 
     def summary(self) -> dict[str, float]:
-        """Plain-type summary (same shape as ``LatencyRecorder.summary``)."""
+        """Plain-type summary suitable for JSON serialization."""
         return {
             "count": self._count,
             "total_s": self._total,
@@ -283,23 +205,22 @@ class Histogram:
 
 
 class TelemetryHub:
-    """Registry of named counters and latency recorders.
+    """Registry of named counters and latency histograms.
 
-    Counters and recorders are created on first use, so call sites never
+    Counters and histograms are created on first use, so call sites never
     need to pre-declare the metrics they emit.
 
     The hub's own entry points (:meth:`increment`, :meth:`record`,
     :meth:`timer`, :meth:`snapshot`, :meth:`reset`) are thread-safe — the
     serving frontend drives one shared hub from concurrently submitting
     callers, so registration and read-modify-write updates serialize under
-    one hub lock.  Mutating a :class:`Counter`/:class:`LatencyRecorder`
-    obtained via :meth:`counter`/:meth:`latency` directly bypasses that
-    lock and is only safe single-threaded.
+    one hub lock.  Mutating a :class:`Counter`/:class:`Histogram` obtained
+    via :meth:`counter`/:meth:`histogram` directly bypasses that lock and
+    is only safe single-threaded.
     """
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._latencies: dict[str, LatencyRecorder] = {}
         self._histograms: dict[str, Histogram] = {}
         self._lock = threading.Lock()
 
@@ -320,25 +241,9 @@ class TelemetryHub:
                 counter = self._counters[name] = Counter(name=name)
             return counter.increment(amount)
 
-    def latency(self, name: str) -> LatencyRecorder:
-        """The latency recorder called *name*, created on first access."""
-        with self._lock:
-            if name not in self._latencies:
-                self._latencies[name] = LatencyRecorder(name=name)
-            return self._latencies[name]
-
     def record(self, name: str, seconds: float) -> None:
-        """Thread-safe ``latency(name).record(seconds)``.
-
-        Every recorded duration also lands in the same-named mergeable
-        :class:`Histogram`, so per-stage quantiles survive cross-process
-        aggregation without call sites emitting twice.
-        """
+        """Thread-safe ``histogram(name).record(seconds)``."""
         with self._lock:
-            recorder = self._latencies.get(name)
-            if recorder is None:
-                recorder = self._latencies[name] = LatencyRecorder(name=name)
-            recorder.record(seconds)
             histogram = self._histograms.get(name)
             if histogram is None:
                 histogram = self._histograms[name] = Histogram(name=name)
@@ -350,19 +255,6 @@ class TelemetryHub:
             if name not in self._histograms:
                 self._histograms[name] = Histogram(name=name)
             return self._histograms[name]
-
-    def observe(self, name: str, seconds: float) -> None:
-        """Thread-safe ``histogram(name).record(seconds)`` (histogram only).
-
-        For durations that need mergeable quantiles but not a raw-sample
-        window (high-cardinality per-stage timings); :meth:`record` feeds
-        both representations.
-        """
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(name=name)
-            histogram.record(seconds)
 
     @contextmanager
     def timer(self, name: str) -> Iterator[None]:
@@ -384,42 +276,28 @@ class TelemetryHub:
     def snapshot(self) -> dict[str, dict]:
         """All metrics as a nested plain-type dictionary.
 
-        The hub lock is held only long enough to *copy* the raw state; the
-        percentile math (``np.percentile`` per recorder) runs outside it,
-        so a ``/metrics`` scrape can never stall concurrent hot-path
-        ``increment``/``record`` calls for the duration of the summaries.
+        ``latencies`` maps each histogram's name to its
+        :meth:`Histogram.summary`.  The hub lock is held only long enough
+        to *copy* the bucket counts; the quantile interpolation runs
+        outside it, so a ``/metrics`` scrape never stalls concurrent
+        hot-path ``increment``/``record`` calls for the summaries.
         """
         with self._lock:
             counters = {name: c.value for name, c in sorted(self._counters.items())}
-            copied = {
-                name: (
-                    recorder._count,
-                    recorder._total,
-                    recorder._max,
-                    list(recorder._samples),
-                )
-                for name, recorder in sorted(self._latencies.items())
-            }
-        latencies = {}
-        for name, (count, total, maximum, samples) in copied.items():
-            latencies[name] = {
-                "count": count,
-                "total_s": total,
-                "mean_s": total / count if count else 0.0,
-                "p50_s": float(np.percentile(samples, 50.0)) if samples else 0.0,
-                "p95_s": float(np.percentile(samples, 95.0)) if samples else 0.0,
-                "p99_s": float(np.percentile(samples, 99.0)) if samples else 0.0,
-                "max_s": maximum,
-            }
+            copied = [
+                replace(histogram, _counts=list(histogram._counts))
+                for _, histogram in sorted(self._histograms.items())
+            ]
+        latencies = {histogram.name: histogram.summary() for histogram in copied}
         return {"counters": counters, "latencies": latencies}
 
     def histograms_snapshot(self) -> dict[str, dict]:
         """Every histogram in mergeable plain-type form (sorted by name).
 
-        Kept separate from :meth:`snapshot` so the JSON ``/metrics``
-        surface stays byte-for-byte unchanged; summing the ``counts`` of
-        two workers' snapshots (:meth:`Histogram.from_snapshot` +
-        :meth:`Histogram.merge`) yields fleet-wide quantiles.
+        Carries the raw bucket counts that :meth:`snapshot` summarises;
+        summing the ``counts`` of two workers' snapshots
+        (:meth:`Histogram.from_snapshot` + :meth:`Histogram.merge`) yields
+        fleet-wide quantiles.
         """
         with self._lock:
             copied = {
@@ -431,20 +309,14 @@ class TelemetryHub:
     def reset(self) -> None:
         """Zero every metric in place (used between fleet simulation phases).
 
-        Counters, recorders and histograms are zeroed rather than dropped:
-        call sites that cached the objects via :meth:`counter` /
-        :meth:`latency` / :meth:`histogram` keep feeding the same instances
-        the hub still snapshots, instead of silently writing to orphans.
+        Counters and histograms are zeroed rather than dropped: call sites
+        that cached the objects via :meth:`counter` / :meth:`histogram`
+        keep feeding the same instances the hub still snapshots, instead
+        of silently writing to orphans.
         """
         with self._lock:
             for counter in self._counters.values():
                 counter.value = 0
-            for recorder in self._latencies.values():
-                recorder._samples.clear()
-                recorder._next = 0
-                recorder._count = 0
-                recorder._total = 0.0
-                recorder._max = 0.0
             for histogram in self._histograms.values():
                 histogram._counts = [0] * (len(histogram.bounds) + 1)
                 histogram._count = 0
@@ -491,26 +363,13 @@ def render_prometheus(hub: TelemetryHub) -> str:
     * mergeable histograms become native ``histogram`` series
       (cumulative ``_bucket{le=...}`` + ``_sum`` + ``_count``) named
       ``repro_<name>_seconds`` — sums of these across shard workers
-      reproduce fleet quantiles;
-    * sliding-window recorders export their recent percentiles as a
-      ``summary`` named ``repro_<name>_window_seconds`` (window
-      percentiles are exact but non-aggregatable, hence the distinct
-      name).
+      reproduce fleet quantiles.
 
     Output ordering is deterministic (sorted by metric name), so the
     format is golden-fixture testable.
     """
     with hub._lock:
         counters = {name: c.value for name, c in sorted(hub._counters.items())}
-        latencies = {
-            name: (
-                recorder._count,
-                recorder._total,
-                recorder._max,
-                list(recorder._samples),
-            )
-            for name, recorder in sorted(hub._latencies.items())
-        }
         histograms = {
             name: (tuple(h.bounds), tuple(h._counts), h._count, h._total)
             for name, h in sorted(hub._histograms.items())
@@ -553,21 +412,6 @@ def render_prometheus(hub: TelemetryHub) -> str:
         lines.append(f'{metric}_bucket{{le="+Inf"}} {count}')
         lines.append(f"{metric}_sum {_format_value(total)}")
         lines.append(f"{metric}_count {count}")
-
-    for name, (count, total, maximum, samples) in latencies.items():
-        metric = _metric_name(name) + "_window_seconds"
-        lines.append(
-            f"# HELP {metric} Sliding-window latency percentiles for {name!r}."
-        )
-        lines.append(f"# TYPE {metric} summary")
-        for q in (50.0, 95.0, 99.0):
-            value = float(np.percentile(samples, q)) if samples else 0.0
-            lines.append(
-                f'{metric}{{quantile="{q / 100.0:g}"}} {_format_value(value)}'
-            )
-        lines.append(f"{metric}_sum {_format_value(total)}")
-        lines.append(f"{metric}_count {count}")
-        lines.append(f"{metric}_max {_format_value(maximum)}")
 
     return "\n".join(lines) + "\n"
 

@@ -85,6 +85,8 @@ import shutil
 import signal
 import tempfile
 import threading
+from contextlib import nullcontext
+from functools import partial
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import count
@@ -1092,10 +1094,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     # dispatch (shared by single and batch endpoints)
     # ------------------------------------------------------------------ #
 
-    def dispatch(self, request: Request) -> Response:
-        """Dispatch one protocol request (through the queue when attached)."""
-        return self.dispatch_legacy(request)
-
     @staticmethod
     def _as_legacy_response(sealed: SealedResponse) -> Response:
         """Unwrap a legacy-envelope outcome into a bare v1 response.
@@ -1124,10 +1122,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             )
         )
         return self._as_legacy_response(sealed)
-
-    def dispatch_many(self, requests: Sequence[Request]) -> list[Response]:
-        """Dispatch an already-formed batch straight through the frontend."""
-        return self.dispatch_many_legacy(requests)
 
     def dispatch_many_legacy(self, requests: Sequence[Request]) -> list[Response]:
         """Dispatch a bare (v1) batch under default-caller envelopes."""
@@ -1213,80 +1207,65 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             trace.add_span(
                 SPAN_ADMISSION, perf_counter() - admission_started, n_requests=count
             )
+        errors: dict[int, str] = {}
         if rejection is not None:
             if trace is not None:
                 trace.annotate(
                     error=getattr(rejection, "code", None)
                     or getattr(rejection, "reason", "rejected")
                 )
-                with trace.span(SPAN_RESPONSE_FRAMING):
-                    body = wirebin.encode_rejection_frame(
-                        frame.op, rejection, frame.frame_id, count
-                    )
-                tracer.finish(trace)
-                return body, rejection
-            return (
-                wirebin.encode_rejection_frame(
-                    frame.op, rejection, frame.frame_id, count
-                ),
+            encode = partial(
+                wirebin.encode_rejection_frame,
+                frame.op,
                 rejection,
+                frame.frame_id,
+                count,
             )
-        if trace is not None:
-            trace.caller_id = outcome.caller_id
-            # Binary frames bypass the micro-batch queue entirely; record
-            # the stage explicitly so span sets stay uniform across paths.
-            trace.add_span(SPAN_QUEUE_WAIT, 0.0, queued=False)
-        if frame.op == "authenticate":
-            result = self.frontend.submit_columns(
-                frame.to_columns(
-                    trace_id=None if trace is None else trace.trace_id
-                )
-            )
+        else:
             if trace is not None:
-                with trace.span(SPAN_RESPONSE_FRAMING):
-                    body = wirebin.encode_columnar_response(
-                        result, frame.frame_id, outcome.caller_id
+                trace.caller_id = outcome.caller_id
+                # Binary frames bypass the micro-batch queue entirely; record
+                # the stage explicitly so span sets stay uniform across paths.
+                trace.add_span(SPAN_QUEUE_WAIT, 0.0, queued=False)
+            if frame.op == "authenticate":
+                result = self.frontend.submit_columns(
+                    frame.to_columns(
+                        trace_id=None if trace is None else trace.trace_id
                     )
-                tracer.finish_frame(
-                    trace,
-                    frame.user_ids,
-                    errors={
-                        index: error.error for index, error in result.errors.items()
-                    },
                 )
-                return body, None
-            return (
-                wirebin.encode_columnar_response(
-                    result, frame.frame_id, outcome.caller_id
-                ),
-                None,
-            )
-        requests = frame.to_requests()
-        if trace is not None:
-            for request in requests:
-                tracer.bind(request, trace)
-        responses = self.frontend.submit_many(requests)
-        if trace is not None:
-            with trace.span(SPAN_RESPONSE_FRAMING):
-                body = wirebin.encode_response_frame(
-                    frame.op, responses, frame.frame_id, outcome.caller_id
+                encode = partial(
+                    wirebin.encode_columnar_response,
+                    result,
+                    frame.frame_id,
+                    outcome.caller_id,
                 )
-            tracer.finish_frame(
-                trace,
-                frame.user_ids,
-                errors={
+                errors = {index: error.error for index, error in result.errors.items()}
+            else:
+                requests = frame.to_requests()
+                if trace is not None:
+                    for request in requests:
+                        tracer.bind(request, trace)
+                responses = self.frontend.submit_many(requests)
+                encode = partial(
+                    wirebin.encode_response_frame,
+                    frame.op,
+                    responses,
+                    frame.frame_id,
+                    outcome.caller_id,
+                )
+                errors = {
                     index: response.error
                     for index, response in enumerate(responses)
                     if isinstance(response, ErrorResponse)
-                },
-            )
-            return body, None
-        return (
-            wirebin.encode_response_frame(
-                frame.op, responses, frame.frame_id, outcome.caller_id
-            ),
-            None,
-        )
+                }
+        with nullcontext() if trace is None else trace.span(SPAN_RESPONSE_FRAMING):
+            body = encode()
+        if trace is not None:
+            if rejection is not None:
+                tracer.finish(trace)
+            else:
+                tracer.finish_frame(trace, frame.user_ids, errors=errors)
+        return body, rejection
 
     def health(self) -> dict[str, Any]:
         """The ``/healthz`` payload: readiness plus coarse service totals.

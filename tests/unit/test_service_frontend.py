@@ -625,7 +625,7 @@ class TestAdmissionControl:
             futures = [queue.submit(probe()) for _ in range(3)]
             for future in futures:
                 future.result(timeout=5)
-        recorder = frontend.telemetry.latency("frontend.queue_wait")
+        recorder = frontend.telemetry.histogram("frontend.queue_wait")
         assert recorder.count == 3
         assert recorder.max_seconds < 5.0
 

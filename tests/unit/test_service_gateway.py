@@ -6,7 +6,7 @@ import pytest
 from repro.features.vector import FeatureMatrix
 from repro.sensors.types import CoarseContext
 from repro.service.gateway import AuthenticationGateway
-from repro.service.telemetry import Counter, LatencyRecorder, TelemetryHub
+from repro.service.telemetry import Counter, TelemetryHub
 
 
 def matrix(uid, mean, n=15, d=5, context="stationary", seed=0):
@@ -359,32 +359,6 @@ class TestTelemetryPrimitives:
         with pytest.raises(ValueError):
             counter.increment(-1)
 
-    def test_latency_recorder_statistics(self):
-        recorder = LatencyRecorder("op")
-        for value in (0.1, 0.2, 0.3, 0.4):
-            recorder.record(value)
-        assert recorder.count == 4
-        assert recorder.mean_seconds == pytest.approx(0.25)
-        assert recorder.max_seconds == pytest.approx(0.4)
-        assert recorder.percentile_seconds(50.0) == pytest.approx(0.25)
-        summary = recorder.summary()
-        assert summary["count"] == 4
-        with pytest.raises(ValueError):
-            recorder.record(-0.1)
-        with pytest.raises(ValueError):
-            recorder.percentile_seconds(101.0)
-
-    def test_latency_recorder_memory_is_bounded(self):
-        recorder = LatencyRecorder("op", max_samples=100)
-        for index in range(1000):
-            recorder.record(float(index))
-        assert recorder.count == 1000  # lifetime stats stay exact
-        assert recorder.total_seconds == pytest.approx(sum(range(1000)))
-        assert recorder.max_seconds == 999.0
-        assert len(recorder._samples) == 100  # window stays bounded
-        # Percentiles reflect the most recent window (900..999).
-        assert recorder.percentile_seconds(0.0) == 900.0
-
     def test_hub_entry_points_are_thread_safe(self):
         import threading
 
@@ -425,7 +399,7 @@ class TestTelemetryPrimitives:
     def test_reset_keeps_cached_recorder_objects_live(self):
         hub = TelemetryHub()
         counter = hub.counter("events")
-        recorder = hub.latency("op")
+        recorder = hub.histogram("op")
         hub.increment("events", 5)
         hub.record("op", 0.25)
         hub.reset()
@@ -438,7 +412,7 @@ class TestTelemetryPrimitives:
         assert counter.value == 2
         assert recorder.count == 1
         assert hub.counter("events") is counter
-        assert hub.latency("op") is recorder
+        assert hub.histogram("op") is recorder
 
 
 class TestUnifiedContextDetectorTraining:

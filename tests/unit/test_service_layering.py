@@ -67,7 +67,6 @@ class TestLegacyImportPaths:
             FleetConfig,
             FleetReport,
             FleetSimulator,
-            LatencyRecorder,
             ModelRecord,
             ModelRegistry,
             TelemetryHub,

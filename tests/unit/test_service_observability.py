@@ -129,25 +129,27 @@ class TestHistogram:
 
 
 class TestHubHistograms:
-    def test_record_feeds_recorder_and_histogram(self):
+    def test_record_feeds_the_histogram(self):
         hub = TelemetryHub()
         hub.record("frontend.score", 0.002)
         hub.record("frontend.score", 0.004)
-        assert hub.latency("frontend.score").count == 2
         assert hub.histogram("frontend.score").count == 2
+        assert hub.histogram("frontend.score").total_seconds == pytest.approx(0.006)
 
     def test_json_snapshot_shape_is_unchanged(self):
-        # The JSON /metrics surface must stay byte-for-byte identical:
-        # histograms are exposed only via histograms_snapshot() and the
-        # Prometheus rendering, never inside snapshot().
+        # The JSON /metrics latencies keep their seven keys, and each entry
+        # is the same-named histogram's summary: one aggregator serves the
+        # JSON, Prometheus and merged fleet views alike.
         hub = TelemetryHub()
         hub.increment("events", 2)
-        hub.record("op", 0.25)
+        for value in np.random.default_rng(5).lognormal(-6.0, 1.0, size=300):
+            hub.record("op", float(value))
         snapshot = hub.snapshot()
         assert set(snapshot) == {"counters", "latencies"}
         assert set(snapshot["latencies"]["op"]) == {
             "count", "total_s", "mean_s", "p50_s", "p95_s", "p99_s", "max_s",
         }
+        assert snapshot["latencies"]["op"] == hub.histogram("op").summary()
 
     def test_histograms_snapshot_merges_across_workers(self):
         shard_a, shard_b = TelemetryHub(), TelemetryHub()
@@ -210,9 +212,8 @@ class TestHubConcurrency:
 
         expected = n_threads * n_iterations
         assert hub.counter_value("events") == expected
-        assert hub.latency("op").count == expected
         assert hub.histogram("op").count == expected
-        assert hub.latency("timed").count == expected
+        assert hub.histogram("timed").count == expected
         assert sum(hub.histogram("op").bucket_counts) == expected
         # Counts observed by the scraper never go backwards.
         counter_series = [s["counters"].get("events", 0) for s in snapshots]
@@ -423,12 +424,6 @@ class TestPrometheusExposition:
         assert "# TYPE repro_frontend_score_seconds histogram" in lines
         assert 'repro_frontend_score_seconds_bucket{le="+Inf"} 7' in lines
         assert "repro_frontend_score_seconds_count 7" in lines
-        # Windowed percentiles as a summary family.
-        assert "# TYPE repro_frontend_score_window_seconds summary" in lines
-        assert any(
-            line.startswith('repro_frontend_score_window_seconds{quantile="0.95"}')
-            for line in lines
-        )
 
     def test_bucket_counts_are_cumulative_and_monotonic(self):
         text = render_prometheus(_populated_hub())
