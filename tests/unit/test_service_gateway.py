@@ -359,6 +359,36 @@ class TestTelemetryPrimitives:
         with pytest.raises(ValueError):
             counter.increment(-1)
 
+    def test_latency_histogram_statistics(self):
+        hub = TelemetryHub()
+        for value in (0.1, 0.2, 0.3, 0.4):
+            hub.record("op", value)
+        summary = hub.snapshot()["latencies"]["op"]
+        assert summary["count"] == 4
+        assert summary["total_s"] == pytest.approx(1.0)
+        assert summary["mean_s"] == pytest.approx(0.25)
+        assert summary["max_s"] == pytest.approx(0.4)
+        # Interpolated percentiles stay inside the recorded range.
+        assert 0.1 <= summary["p50_s"] <= summary["p95_s"] <= 0.4
+        with pytest.raises(ValueError):
+            hub.record("op", -0.1)
+        assert hub.histogram("op").count == 4
+        with pytest.raises(ValueError):
+            hub.histogram("op").quantile(101.0)
+
+    def test_latency_histogram_memory_is_bounded(self):
+        hub = TelemetryHub()
+        for index in range(1000):
+            hub.record("op", float(index))
+        histogram = hub.histogram("op")
+        assert histogram.count == 1000  # lifetime stats stay exact
+        assert histogram.total_seconds == pytest.approx(sum(range(1000)))
+        assert histogram.max_seconds == 999.0
+        # Memory is the fixed bucket counts, however many samples arrive.
+        assert len(histogram.bucket_counts) == len(histogram.bounds) + 1
+        assert sum(histogram.bucket_counts) == 1000
+        assert histogram.quantile(100.0) == 999.0
+
     def test_hub_entry_points_are_thread_safe(self):
         import threading
 
