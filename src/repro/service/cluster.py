@@ -1684,12 +1684,12 @@ class ShardRouter(ThreadingHTTPServer):
     def fleet_metrics(self) -> dict[str, Any]:
         """Scrape every live worker and merge: the cluster's one view.
 
-        Counters sum (including the per-caller ``callers.*`` series),
-        histogram families merge bucket-wise — exactly equivalent to the
-        union of the worker streams — and the router's own ``router.*``
-        counters ride along.  Workers' JSON ``latencies`` summaries are
-        not re-read: they are views of the same histograms, whose merged
-        counts carry the fleet quantiles.
+        One ``GET /metrics/histograms`` per worker carries its counters,
+        caller table and histogram bucket counts.  Counters sum (including
+        the per-caller ``callers.*`` series), histogram families merge
+        bucket-wise — exactly equivalent to the union of the worker
+        streams, so the merged counts carry the fleet quantiles — and the
+        router's own ``router.*`` counters ride along.
         """
         counters: dict[str, int] = {}
         callers: dict[str, dict[str, Any]] = {}
@@ -1697,11 +1697,10 @@ class ShardRouter(ThreadingHTTPServer):
         scraped: list[int] = []
         for shard in range(self.pool.n_shards):
             try:
-                _, metrics_data, _ = self.worker_exchange(shard, "GET", METRICS_PATH)
-                _, hist_data, _ = self.worker_exchange(shard, "GET", HISTOGRAMS_PATH)
+                _, data, _ = self.worker_exchange(shard, "GET", HISTOGRAMS_PATH)
             except ShardUnavailable:
                 continue
-            snapshot = json.loads(metrics_data.decode("utf-8"))
+            snapshot = json.loads(data.decode("utf-8"))
             for name, value in snapshot.get("counters", {}).items():
                 counters[name] = counters.get(name, 0) + int(value)
             for caller_id, payload in snapshot.get("callers", {}).items():
@@ -1713,10 +1712,9 @@ class ShardRouter(ThreadingHTTPServer):
                 for key in ("scopes", "rate_limit"):
                     if key in payload:
                         merged[key] = payload[key]
-            histogram_maps.append(json.loads(hist_data.decode("utf-8")))
+            histogram_maps.append(snapshot.get("histograms", {}))
             scraped.append(shard)
-        router_counters = self.telemetry.snapshot()["counters"]
-        for name, value in router_counters.items():
+        for name, value in self.telemetry.counters_snapshot().items():
             counters[name] = counters.get(name, 0) + int(value)
         return {
             "counters": counters,

@@ -46,7 +46,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from time import monotonic, perf_counter
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.service.frontend import ServiceFrontend
 from repro.service.tracing import SPAN_ADMISSION, TraceContext
@@ -816,6 +816,10 @@ class EnvelopeProcessor:
        cross-connection coalescing), control-plane requests through the
        frontend's control door; every batch keeps submission order.
 
+    :meth:`process` and :meth:`process_many` run one body; they differ
+    only in how the admitted requests dispatch.  Each request's trace is
+    passed down the dispatch call next to it.
+
     Parameters
     ----------
     frontend:
@@ -825,7 +829,10 @@ class EnvelopeProcessor:
         rejects everything — when omitted).
     channel:
         Optional dispatch override for admitted data-plane requests: any
-        object with ``submit``/``submit_many`` (defaults to *frontend*).
+        object with ``submit(request, trace)`` and
+        ``submit_many(requests, traces)`` (defaults to *frontend*).  A
+        trace argument is ``None`` for an untraced request, and *traces*
+        is ``None`` when no request of the batch is traced.
     idempotency_capacity:
         Bound on remembered ``(caller, idempotency_key)`` responses
         (least recently used evicted).
@@ -850,8 +857,9 @@ class EnvelopeProcessor:
         )
         self.channel = channel if channel is not None else frontend
         self.telemetry = frontend.telemetry
-        # Set by the transport / fleet when request tracing is enabled;
-        # ``None`` keeps admission byte-identical to the untraced path.
+        # Set by the transport / fleet when request tracing is enabled: it
+        # mints the traces of envelopes that arrive without one.  ``None``
+        # keeps admission byte-identical to the untraced path.
         self.tracer: Any | None = None
         self.idempotency_capacity = idempotency_capacity
         self._idempotent: "OrderedDict[tuple[str, str], Response]" = OrderedDict()
@@ -908,11 +916,11 @@ class EnvelopeProcessor:
         self,
         envelope: Envelope,
         plane: str | None,
-        authorize: Any | None = None,
+        authorize: Callable[[str | None, str, str], CallerRecord | DeniedResponse],
     ) -> tuple[SealedResponse | None, CallerRecord | None]:
         """Run admission (version, plane, caller); non-``None`` sealed
-        short-circuits.  *authorize* overrides the caller-authorization
-        callable (the batch path passes a per-batch memoizing wrapper)."""
+        short-circuits.  *authorize* is the caller-authorization callable
+        (a per-call memoizing wrapper of :meth:`CallerRegistry.authorize`)."""
         kind = request_kind(envelope.request)
         if envelope.api_version != API_VERSION:
             self.telemetry.increment("envelope.denied")
@@ -934,8 +942,6 @@ class EnvelopeProcessor:
             return self._wrong_plane(envelope, kind, "data"), None
         if plane == "control" and not is_control_plane(envelope.request):
             return self._wrong_plane(envelope, kind, "control"), None
-        if authorize is None:
-            authorize = self.callers.authorize
         outcome = authorize(
             envelope.api_key, self.required_scope(envelope.request), kind
         )
@@ -1040,43 +1046,41 @@ class EnvelopeProcessor:
     # tracing hooks
     # ------------------------------------------------------------------ #
 
-    def _start_trace(self, envelope: Envelope) -> tuple[TraceContext | None, bool]:
+    def _start_trace(
+        self, envelope: Envelope, trace: TraceContext | None
+    ) -> tuple[TraceContext | None, bool]:
         """``(trace, owned)`` for one envelope entering the processor.
 
-        A trace the transport already bound to the wrapped request is
-        reused (the transport owns its lifecycle); otherwise one is minted
-        here — adopting the envelope's client-supplied ``trace_id`` when
-        present — and this processor owns finishing it.
+        A *trace* passed in by the caller (the transport's) is used as is
+        and the caller finishes it; otherwise one is minted here —
+        adopting the envelope's client-supplied ``trace_id`` when present —
+        and this processor owns finishing it.
         """
+        if trace is not None:
+            return trace, False
         tracer = self.tracer
         if tracer is None:
             return None, False
-        trace = tracer.trace_for(envelope.request)
-        if trace is not None:
-            return trace, False
         trace = tracer.start(
             "envelope",
             trace_id=envelope.trace_id,
             request_id=envelope.request_id,
             user_id=getattr(envelope.request, "user_id", None),
         )
-        if trace is None:
-            return None, False
-        tracer.bind(envelope.request, trace)
-        return trace, True
+        return trace, trace is not None
 
     def _admit_traced(
         self,
         envelope: Envelope,
         plane: str | None,
         trace: TraceContext | None,
-        authorize: Any | None = None,
+        authorize: Callable[[str | None, str, str], CallerRecord | DeniedResponse],
     ) -> tuple[SealedResponse | None, CallerRecord | None]:
         """:meth:`_admit` with the admission span recorded on *trace*."""
         if trace is None:
-            return self._admit(envelope, plane, authorize=authorize)
+            return self._admit(envelope, plane, authorize)
         started = perf_counter()
-        sealed, caller = self._admit(envelope, plane, authorize=authorize)
+        sealed, caller = self._admit(envelope, plane, authorize)
         trace.add_span(SPAN_ADMISSION, perf_counter() - started)
         if caller is not None:
             trace.caller_id = caller.caller_id
@@ -1108,8 +1112,18 @@ class EnvelopeProcessor:
     # processing
     # ------------------------------------------------------------------ #
 
-    def process(self, envelope: Envelope, plane: str | None = None) -> SealedResponse:
+    def process(
+        self,
+        envelope: Envelope,
+        plane: str | None = None,
+        trace: TraceContext | None = None,
+    ) -> SealedResponse:
         """Authorize and dispatch one envelope; always returns sealed.
+
+        The admitted request dispatches alone: a data-plane request
+        through the channel's single-request door (the transport's channel
+        queues it for cross-connection coalescing), a control-plane
+        request through the frontend's control door.
 
         Parameters
         ----------
@@ -1119,55 +1133,11 @@ class EnvelopeProcessor:
             ``"data"`` / ``"control"`` to enforce an endpoint's plane
             restriction, ``None`` to infer from the request type (the
             in-process channel's behaviour).
+        trace:
+            The caller's trace of this request, which the caller finishes;
+            ``None`` mints one here when a tracer is attached.
         """
-        trace, owned = self._start_trace(envelope)
-        try:
-            sealed, caller = self._admit_traced(envelope, plane, trace)
-            if sealed is not None:
-                return self._seal_outcome(sealed, trace)
-            if envelope.idempotency_key is None:
-                return self._seal_outcome(
-                    SealedResponse(
-                        response=self._dispatch(envelope.request),
-                        request_id=envelope.request_id,
-                        caller_id=caller.caller_id,
-                    ),
-                    trace,
-                )
-            key = (caller.caller_id, envelope.idempotency_key)
-            recorded = self._reserve(key)
-            if recorded is not None:
-                self.telemetry.increment("envelope.replayed")
-                return self._seal_outcome(
-                    SealedResponse(
-                        response=recorded,
-                        request_id=envelope.request_id,
-                        caller_id=caller.caller_id,
-                        replayed=True,
-                    ),
-                    trace,
-                )
-            response: Response | None = None
-            try:
-                response = self._dispatch(envelope.request)
-            finally:
-                self._finish(key, response)
-            return self._seal_outcome(
-                SealedResponse(
-                    response=response,
-                    request_id=envelope.request_id,
-                    caller_id=caller.caller_id,
-                ),
-                trace,
-            )
-        finally:
-            if owned:
-                self.tracer.finish(trace)
-
-    def _dispatch(self, request: Request) -> Response:
-        if is_data_plane(request):
-            return self.channel.submit(request)
-        return self.frontend.submit_control(request)
+        return self._process([envelope], plane, self._dispatch, [trace])[0]
 
     def process_many(
         self, envelopes: Sequence[Envelope], plane: str | None = None
@@ -1180,15 +1150,43 @@ class EnvelopeProcessor:
         without costing their neighbours anything.  Idempotency keys apply
         exactly as on the single path — a key repeated *within* one batch
         executes once, with the later occurrence replaying the first's
-        response.
+        response.  Each envelope gets its own trace.
+        """
+        return self._process(envelopes, plane, self.channel.submit_many, None)
+
+    def _dispatch(
+        self,
+        requests: Sequence[Request],
+        traces: Sequence[TraceContext | None] | None,
+    ) -> list[Response]:
+        """:meth:`process`'s dispatch of its one admitted request."""
+        (request,) = requests
+        trace = None if traces is None else traces[0]
+        if is_data_plane(request):
+            return [self.channel.submit(request, trace)]
+        return [self.frontend.submit_control(request, trace)]
+
+    def _process(
+        self,
+        envelopes: Sequence[Envelope],
+        plane: str | None,
+        dispatch: Callable[..., list[Response]],
+        traces: Sequence[TraceContext | None] | None,
+    ) -> list[SealedResponse]:
+        """Admission, idempotency and dispatch: the one body of both doors.
+
+        *traces* holds the caller's trace of each envelope (``None``
+        entries, or ``None`` for all, mint one per envelope).  *dispatch*
+        takes the admitted requests and their traces (``None`` when none is
+        traced) and answers their responses in order.
         """
         sealed: list[SealedResponse | None] = [None] * len(envelopes)
-        dispatch: list[tuple[int, Envelope, CallerRecord]] = []
-        owned: dict[tuple[str, str], int] = {}  # key -> owner position
+        admitted: list[tuple[int, Envelope, CallerRecord]] = []
+        owners: dict[tuple[str, str], int] = {}  # key -> owner position
         duplicates: list[tuple[int, Envelope, CallerRecord, int]] = []
         responses_by_index: dict[int, Response] = {}
-        traces: dict[int, TraceContext] = {}
-        owned_traces: list[TraceContext] = []
+        trace_at: dict[int, TraceContext] = {}
+        minted: list[TraceContext] = []
 
         # A fleet batch is typically hundreds of envelopes under ONE
         # credential: authorize each (api_key, scope) pair once, replay the
@@ -1219,26 +1217,28 @@ class EnvelopeProcessor:
 
         try:
             for index, envelope in enumerate(envelopes):
-                trace, trace_owned = self._start_trace(envelope)
+                trace, owned = self._start_trace(
+                    envelope, None if traces is None else traces[index]
+                )
                 if trace is not None:
-                    traces[index] = trace
-                    if trace_owned:
-                        owned_traces.append(trace)
+                    trace_at[index] = trace
+                    if owned:
+                        minted.append(trace)
                 short_circuit, caller = self._admit_traced(
-                    envelope, plane, trace, authorize=batch_authorize
+                    envelope, plane, trace, batch_authorize
                 )
                 if short_circuit is not None:
                     sealed[index] = self._seal_outcome(short_circuit, trace)
                     continue
                 if envelope.idempotency_key is None:
-                    dispatch.append((index, envelope, caller))
+                    admitted.append((index, envelope, caller))
                     continue
                 key = (caller.caller_id, envelope.idempotency_key)
-                if key in owned:
+                if key in owners:
                     # Same key twice in one batch: defer to the in-batch
                     # owner (waiting on it here would deadlock this very
                     # thread).
-                    duplicates.append((index, envelope, caller, owned[key]))
+                    duplicates.append((index, envelope, caller, owners[key]))
                     continue
                 recorded = self._reserve(key)
                 if recorded is not None:
@@ -1253,13 +1253,16 @@ class EnvelopeProcessor:
                         trace,
                     )
                     continue
-                owned[key] = index
-                dispatch.append((index, envelope, caller))
-            if dispatch:
-                responses = self.channel.submit_many(
-                    [envelope.request for _, envelope, _ in dispatch]
+                owners[key] = index
+                admitted.append((index, envelope, caller))
+            if admitted:
+                responses = dispatch(
+                    [envelope.request for _, envelope, _ in admitted],
+                    [trace_at.get(index) for index, _, _ in admitted]
+                    if trace_at
+                    else None,
                 )
-                for (index, envelope, caller), response in zip(dispatch, responses):
+                for (index, envelope, caller), response in zip(admitted, responses):
                     responses_by_index[index] = response
                     sealed[index] = self._seal_outcome(
                         SealedResponse(
@@ -1267,7 +1270,7 @@ class EnvelopeProcessor:
                             request_id=envelope.request_id,
                             caller_id=caller.caller_id,
                         ),
-                        traces.get(index),
+                        trace_at.get(index),
                     )
             for index, envelope, caller, owner_index in duplicates:
                 response = responses_by_index[owner_index]
@@ -1279,13 +1282,13 @@ class EnvelopeProcessor:
                         caller_id=caller.caller_id,
                         replayed=True,
                     ),
-                    traces.get(index),
+                    trace_at.get(index),
                 )
         finally:
             # Release every owned key whether dispatch succeeded or not; a
             # key whose operation never produced a response is released
             # unrecorded, so a retry executes.
-            for key, index in owned.items():
+            for key, index in owners.items():
                 self._finish(key, responses_by_index.get(index))
             # Fold the cache-replayed authorizations into the telemetry.
             for cache_key, count in reuse_counts.items():
@@ -1294,9 +1297,26 @@ class EnvelopeProcessor:
                     self.callers.record_denied(count=count)
                 else:
                     self.callers.record_usage(outcome, count=count)
-            for trace in owned_traces:
+            for trace in minted:
                 self.tracer.finish(trace)
         return sealed  # type: ignore[return-value]
+
+
+def verify_echo(envelope: Envelope, sealed: SealedResponse) -> SealedResponse:
+    """*sealed*, once checked to echo *envelope*'s request id.
+
+    Raises
+    ------
+    ValueError
+        If *sealed* echoes a different ``request_id`` than *envelope* (a
+        transport bug, never a caller-visible outcome).
+    """
+    if sealed.request_id != envelope.request_id:
+        raise ValueError(
+            f"response echoes request_id {sealed.request_id!r}, "
+            f"expected {envelope.request_id!r}"
+        )
+    return sealed
 
 
 def unseal(envelope: Envelope, sealed: SealedResponse) -> Response:
@@ -1304,7 +1324,8 @@ def unseal(envelope: Envelope, sealed: SealedResponse) -> Response:
 
     The single definition of the caller-side v2 contract, shared by the
     in-process :class:`EnvelopeChannel` and the HTTP
-    :class:`~repro.service.transport.ServiceClient`.
+    :class:`~repro.service.transport.ServiceClient`; their sealed doors
+    stop after :func:`verify_echo`.
 
     Raises
     ------
@@ -1314,14 +1335,10 @@ def unseal(envelope: Envelope, sealed: SealedResponse) -> Response:
         If the server rejected the envelope's caller (the in-process
         analogue of an HTTP 401/403), with the typed code in the message.
     """
-    if sealed.request_id != envelope.request_id:
-        raise ValueError(
-            f"response echoes request_id {sealed.request_id!r}, "
-            f"expected {envelope.request_id!r}"
-        )
-    if isinstance(sealed.response, DeniedResponse):
-        raise PermissionError(f"{sealed.response.code}: {sealed.response.message}")
-    return sealed.response
+    response = verify_echo(envelope, sealed).response
+    if isinstance(response, DeniedResponse):
+        raise PermissionError(f"{response.code}: {response.message}")
+    return response
 
 
 class EnvelopeChannel:
@@ -1374,13 +1391,7 @@ class EnvelopeChannel:
             never a caller-visible outcome).
         """
         envelope = self._wrap(request, idempotency_key=idempotency_key)
-        sealed = self.processor.process(envelope)
-        if sealed.request_id != envelope.request_id:
-            raise ValueError(
-                f"response echoes request_id {sealed.request_id!r}, "
-                f"expected {envelope.request_id!r}"
-            )
-        return sealed
+        return verify_echo(envelope, self.processor.process(envelope))
 
     def submit_many(self, requests: Sequence[Request]) -> list[Response]:
         """Envelope-wrap and dispatch a batch; responses in order."""

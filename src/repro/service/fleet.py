@@ -268,8 +268,9 @@ class FleetSimulator:
         (the simulator is the operator, not a device), so the gateway must
         be the same one a remote channel serves.
     tracer:
-        Optional :class:`~repro.service.tracing.Tracer` wired through the
-        in-process serving path (processor, frontend, gateway) so lifecycle
+        Optional :class:`~repro.service.tracing.Tracer` attached to the
+        in-process envelope processor, which passes each lifecycle
+        request's trace down to the frontend and gateway, so lifecycle
         requests export per-request trace events.
     registry_root:
         Optional directory for the simulator's own
@@ -346,13 +347,10 @@ class FleetSimulator:
         )
         self.processor = EnvelopeProcessor(self.frontend, callers=self.callers)
         # One tracer spans the in-process serving path end to end: the
-        # processor starts envelope traces, the frontend/gateway add their
-        # stage spans to the same contexts.
+        # processor starts envelope traces and passes each down to the
+        # frontend/gateway stages that span it.
         self.tracer = tracer
-        if tracer is not None:
-            self.processor.tracer = tracer
-            self.frontend.tracer = tracer
-            self.frontend.gateway.tracer = tracer
+        self.processor.tracer = tracer
         self.channel: RequestChannel = (
             channel
             if channel is not None

@@ -70,7 +70,7 @@ from repro.service.protocol import (
     request_kind,
 )
 from repro.service.telemetry import TelemetryHub
-from repro.service.tracing import SPAN_FUSED_PASS, SPAN_QUEUE_WAIT
+from repro.service.tracing import SPAN_FUSED_PASS, SPAN_QUEUE_WAIT, TraceContext
 
 
 class ServiceFrontend:
@@ -119,9 +119,6 @@ class ServiceFrontend:
         self._table_lock = threading.Lock()
         self.table_hits = 0
         self.table_misses = 0
-        # Set by the transport / fleet when request tracing is enabled;
-        # ``None`` keeps the scoring hot path byte-identical to untraced.
-        self.tracer = None
         # Monotonic flush ids tag which coalesced pass served each traced
         # request (batch-membership attribution across concurrent flushes).
         self._flush_ids = count(1)
@@ -198,8 +195,10 @@ class ServiceFrontend:
     # submission
     # ------------------------------------------------------------------ #
 
-    def submit(self, request: Request) -> Response:
+    def submit(self, request: Request, trace: TraceContext | None = None) -> Response:
         """Dispatch one protocol request through the full middleware stack.
+
+        A *trace* receives the request's ``fused_pass`` or ``gateway`` span.
 
         Returns
         -------
@@ -213,9 +212,11 @@ class ServiceFrontend:
         TypeError
             If *request* is not a protocol request.
         """
-        return self.submit_many([request])[0]
+        return self.submit_many([request], None if trace is None else [trace])[0]
 
-    def submit_control(self, request: Request) -> Response:
+    def submit_control(
+        self, request: Request, trace: TraceContext | None = None
+    ) -> Response:
         """Dispatch one control-plane request through the middleware stack.
 
         The admin door: same telemetry / error-mapping / per-user-lock
@@ -233,15 +234,21 @@ class ServiceFrontend:
         if not is_control_plane(request):
             request_kind(request)  # raises TypeError on non-protocol input
             raise PlaneMismatchError(request, plane="control", expected="data")
-        return self._submit_one(request)
+        return self._submit_one(request, trace)
 
-    def submit_many(self, requests: Sequence[Request]) -> list[Response]:
+    def submit_many(
+        self,
+        requests: Sequence[Request],
+        traces: Sequence[TraceContext | None] | None = None,
+    ) -> list[Response]:
         """Dispatch a batch of requests, coalescing authenticate runs.
 
         Requests are applied in order; every maximal run of consecutive
         :class:`AuthenticateRequest`\\ s is scored in one coalesced
         vectorized pass.  Each request independently maps to its response
         (or :class:`ErrorResponse`), in the same order as submitted.
+        *traces*, when given, holds each request's trace (or ``None``) in
+        submission order.
 
         Raises
         ------
@@ -261,15 +268,20 @@ class ServiceFrontend:
                 ):
                     end += 1
                 responses[index:end] = self._authenticate_run(
-                    requests[index:end]  # type: ignore[arg-type]
+                    requests[index:end],  # type: ignore[arg-type]
+                    None if traces is None else traces[index:end],
                 )
                 index = end
             else:
-                responses[index] = self._submit_one(requests[index])
+                responses[index] = self._submit_one(
+                    requests[index], None if traces is None else traces[index]
+                )
                 index += 1
         return responses  # type: ignore[return-value]
 
-    def _submit_one(self, request: Request) -> Response:
+    def _submit_one(
+        self, request: Request, trace: TraceContext | None = None
+    ) -> Response:
         kind = request_kind(request)
         user_id = getattr(request, "user_id", None)
         self.telemetry.increment("frontend.requests")
@@ -277,8 +289,8 @@ class ServiceFrontend:
             try:
                 if user_id is not None:
                     with self._lock_for(user_id):
-                        return self.gateway.handle(request)
-                return self.gateway.handle(request)
+                        return self.gateway.handle(request, trace)
+                return self.gateway.handle(request, trace)
             except Exception as error:
                 return self._error(kind, error, user_id)
 
@@ -286,7 +298,9 @@ class ServiceFrontend:
     # the authenticate pass: one columnar path behind both doors
     # ------------------------------------------------------------------ #
 
-    def submit_columns(self, columns: AuthenticateColumns) -> ColumnarAuthResult:
+    def submit_columns(
+        self, columns: AuthenticateColumns, trace: TraceContext | None = None
+    ) -> ColumnarAuthResult:
         """Dispatch a columnar authenticate batch through the middleware stack.
 
         The binary frame's door into the authenticate pass that
@@ -298,7 +312,8 @@ class ServiceFrontend:
         block travels straight from the wire decode into the fused scoring
         pass (:func:`~repro.core.scoring.score_stacked`) with no
         per-request protocol objects anywhere; a batch without context
-        codes has every window's context detected server-side.
+        codes has every window's context detected server-side.  A *trace*
+        (the whole frame's) receives the pass's ``fused_pass`` span.
 
         Raises
         ------
@@ -311,15 +326,15 @@ class ServiceFrontend:
                 f"submit_columns expects AuthenticateColumns, got "
                 f"{type(columns).__name__}"
             )
-        # The batch was rebuilt from wire bytes, so its trace (if any)
-        # travels as an id field rather than an object binding.
-        tracer = self.tracer
-        trace = tracer.lookup(columns.trace_id) if tracer is not None else None
         detect = np.full(columns.n_requests, columns.context_codes is None)
         traces = [] if trace is None else [trace]
         return self._authenticate([(columns, detect, traces)])[0]
 
-    def _authenticate_run(self, batch: Sequence[AuthenticateRequest]) -> list[Response]:
+    def _authenticate_run(
+        self,
+        batch: Sequence[AuthenticateRequest],
+        traces: Sequence[TraceContext | None] | None = None,
+    ) -> list[Response]:
         """Score a run of authenticate requests through the columnar pass.
 
         The run is stacked into :class:`AuthenticateColumns` and the
@@ -327,9 +342,8 @@ class ServiceFrontend:
         mixes feature widths in one run; such a run stacks one block per
         width, so every request still answers its own typed response.  A
         zero-window request has no width of its own and rides in the
-        run's first block.  Object requests carry traces by identity
-        binding (they cross the micro-batch queue as the same frozen
-        object).
+        run's first block.  *traces* parallels *batch*; each block's
+        traced requests receive its ``fused_pass`` span.
         """
         first_width = next(
             (request.features.shape[1] for request in batch if len(request.features)),
@@ -339,7 +353,6 @@ class ServiceFrontend:
         for index, request in enumerate(batch):
             width = request.features.shape[1] if len(request.features) else first_width
             members_by_width.setdefault(width, []).append(index)
-        tracer = self.tracer
         blocks = []
         for width, members in members_by_width.items():
             requests = [batch[index] for index in members]
@@ -366,16 +379,12 @@ class ServiceFrontend:
                 context_codes=codes,
                 versions=tuple(request.version for request in requests),
             )
-            traces = (
+            block_traces = (
                 []
-                if tracer is None
-                else [
-                    trace
-                    for trace in map(tracer.trace_for, requests)
-                    if trace is not None
-                ]
+                if traces is None
+                else [traces[index] for index in members if traces[index] is not None]
             )
-            blocks.append((columns, detect, traces))
+            blocks.append((columns, detect, block_traces))
         responses: list[Response | None] = [None] * len(batch)
         results = self._authenticate(blocks)
         for members, result in zip(members_by_width.values(), results):
@@ -724,7 +733,9 @@ class MicroBatchQueue:
 
     # ------------------------------------------------------------------ #
 
-    def submit(self, request: Request) -> "Future[Response]":
+    def submit(
+        self, request: Request, trace: TraceContext | None = None
+    ) -> "Future[Response]":
         """Enqueue one request; the future resolves to its response.
 
         Non-protocol objects are rejected here, synchronously, so an
@@ -733,7 +744,8 @@ class MicroBatchQueue:
         wait, the configured ``overflow`` policy applies: ``"reject"``
         resolves the returned future immediately to a
         :class:`~repro.service.protocol.ThrottledResponse`, ``"block"``
-        waits for a free slot.
+        waits for a free slot.  A *trace* rides in the queue item next to
+        its request and receives the ``queue_wait`` span.
 
         Returns
         -------
@@ -771,7 +783,7 @@ class MicroBatchQueue:
                     if self.max_depth is None or self._depth < self.max_depth:
                         self._depth += 1
                         future: "Future[Response]" = Future()
-                        self._queue.put((request, future, monotonic()))
+                        self._queue.put((request, trace, future, monotonic()))
                         return future
                     if self.overflow == "reject":
                         self.frontend.telemetry.increment("frontend.throttled")
@@ -830,30 +842,26 @@ class MicroBatchQueue:
             # mid-dispatch — so the set_result below cannot raise and kill
             # the worker, stranding the other futures in the slice.
             claimed = [
-                (request, future, enqueued_at)
-                for request, future, enqueued_at in pending
+                (request, trace, future, enqueued_at)
+                for request, trace, future, enqueued_at in pending
                 if future.set_running_or_notify_cancel()
             ]
             if not claimed:
                 continue
             drained_at = monotonic()
-            tracer = self.frontend.tracer
-            for request, _, enqueued_at in claimed:
+            for _, trace, _, enqueued_at in claimed:
                 wait_s = drained_at - enqueued_at
                 self.frontend.telemetry.record("frontend.queue_wait", wait_s)
-                if tracer is not None:
-                    trace = tracer.trace_for(request)
-                    if trace is not None:
-                        trace.add_span(
-                            SPAN_QUEUE_WAIT, wait_s, batch_size=len(claimed)
-                        )
+                if trace is not None:
+                    trace.add_span(SPAN_QUEUE_WAIT, wait_s, batch_size=len(claimed))
             try:
                 responses = self.frontend.submit_many(
-                    [request for request, _, _ in claimed]
+                    [request for request, _, _, _ in claimed],
+                    [trace for _, trace, _, _ in claimed],
                 )
             except Exception as error:  # defensive: submit_many maps errors
-                for _, future, _ in claimed:
+                for _, _, future, _ in claimed:
                     future.set_exception(error)
             else:
-                for (_, future, _), response in zip(claimed, responses):
+                for (_, _, future, _), response in zip(claimed, responses):
                     future.set_result(response)

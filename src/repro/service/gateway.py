@@ -53,6 +53,7 @@ from repro.service.protocol import (
 )
 from repro.service.registry import ModelRegistry
 from repro.service.telemetry import TelemetryHub
+from repro.service.tracing import TraceContext
 
 __all__ = [
     "AuthenticationGateway",
@@ -233,9 +234,6 @@ class AuthenticationGateway:
         # remains the plane-agnostic in-process facade.
         self.data_plane = DataPlane(self)
         self.control_plane = ControlPlane(self)
-        # Set by the transport / fleet when request tracing is enabled;
-        # ``None`` keeps dispatch byte-identical to the untraced path.
-        self.tracer = None
 
     # ------------------------------------------------------------------ #
     # protocol dispatch
@@ -260,7 +258,9 @@ class AuthenticationGateway:
             "DetectorTrainRequest, DrainShardRequest"
         )
 
-    def handle(self, request: Request) -> Response:
+    def handle(
+        self, request: Request, trace: TraceContext | None = None
+    ) -> Response:
         """Route one typed protocol request to its operation.
 
         This is the gateway's plane-agnostic in-process entry point: the
@@ -270,14 +270,12 @@ class AuthenticationGateway:
         endpoint can never reach a control operation.)  Errors propagate as
         exceptions; mapping them to
         :class:`~repro.service.protocol.ErrorResponse` is the frontend
-        middleware's job.
+        middleware's job.  A *trace* records the operation as its
+        ``gateway`` span.
         """
-        tracer = self.tracer
-        if tracer is not None:
-            trace = tracer.trace_for(request)
-            if trace is not None:
-                with trace.span("gateway", kind=request_kind(request)):
-                    return self.plane_for(request).handle(request)
+        if trace is not None:
+            with trace.span("gateway", kind=request_kind(request)):
+                return self.plane_for(request).handle(request)
         return self.plane_for(request).handle(request)
 
     # ------------------------------------------------------------------ #

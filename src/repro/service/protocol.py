@@ -308,12 +308,10 @@ class AuthenticateColumns:
     versions:
         Optional pinned model version per request (``None`` entries select
         the newest active version; ``versions=None`` means no pins at all).
-    trace_id:
-        Optional trace id threaded from the transport door.  The batch is
-        rebuilt from wire bytes inside the worker thread, so the id field
-        (resolved via :meth:`repro.service.tracing.Tracer.lookup`) is the
-        only way the frontend can attach fused-pass spans to the frame's
-        trace — object-identity binding cannot survive the re-decode.
+
+    A traced batch's trace is passed next to it
+    (:meth:`~repro.service.frontend.ServiceFrontend.submit_columns`), not
+    carried on it.
     """
 
     user_ids: tuple[str, ...]
@@ -321,7 +319,6 @@ class AuthenticateColumns:
     lengths: np.ndarray
     context_codes: np.ndarray | None = None
     versions: tuple[int | None, ...] | None = None
-    trace_id: str | None = None
 
     def __post_init__(self) -> None:
         for user_id in self.user_ids:

@@ -291,6 +291,12 @@ class TelemetryHub:
         latencies = {histogram.name: histogram.summary() for histogram in copied}
         return {"counters": counters, "latencies": latencies}
 
+    def counters_snapshot(self) -> dict[str, int]:
+        """Every counter's value (sorted by name), without the latency
+        summaries :meth:`snapshot` computes."""
+        with self._lock:
+            return {name: c.value for name, c in sorted(self._counters.items())}
+
     def histograms_snapshot(self) -> dict[str, dict]:
         """Every histogram in mergeable plain-type form (sorted by name).
 

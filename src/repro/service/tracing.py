@@ -13,19 +13,14 @@ that attribution without touching the hot path when disabled:
 * a :class:`Tracer` owns sampling, the bounded in-memory event ring, the
   opt-in JSONL sink and slow-request logging.
 
-**Propagation.**  Two complementary mechanisms thread a trace through the
-layers, matching how the two serving forms travel:
-
-* *object requests* (the per-request protocol types) cross the
-  :class:`~repro.service.frontend.MicroBatchQueue` thread boundary as the
-  same frozen object, so the tracer binds traces to them by identity in a
-  :class:`weakref.WeakKeyDictionary` (:meth:`Tracer.bind` /
-  :meth:`Tracer.trace_for`) — no contextvars, which a cross-thread queue
-  hop would silently drop;
-* *columnar batches* (:class:`~repro.service.protocol.AuthenticateColumns`)
-  are rebuilt from wire bytes layer by layer, so the trace id travels as a
-  field on the batch itself and :meth:`Tracer.lookup` resolves it back to
-  the live context.
+**Propagation.**  The trace travels as an argument.  The door that mints
+it (the transport, the envelope processor or the binary frame dispatch)
+passes it down every call that records a span: envelope processor →
+dispatch channel → :class:`~repro.service.frontend.MicroBatchQueue` item
+→ frontend → gateway.  The queue carries it next to the request across
+its thread hop, so no contextvar (which that hop would drop) and no side
+table keyed by the request is involved; one request can never pick up
+another request's trace.
 
 Finished traces export as structured JSON events.  A binary frame is one
 trace shared by every request it carries; :meth:`Tracer.finish_frame`
@@ -33,8 +28,9 @@ fans it out into one event per request (shared span timings, per-request
 user id and error outcome), so per-request attribution survives the
 zero-copy path without per-request object cost.
 
-Everything here is stdlib-only and thread-safe; a ``tracer=None`` default
-on every integration point keeps the untraced hot path byte-identical.
+Everything here is stdlib-only and thread-safe; a ``trace=None`` default
+on every layer that records a span keeps the untraced hot path
+byte-identical.
 """
 
 from __future__ import annotations
@@ -43,11 +39,10 @@ import json
 import logging
 import threading
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Iterator, Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 from repro.service.telemetry import TelemetryHub
 
@@ -234,13 +229,6 @@ class Tracer:
         self.slow_request_ms = slow_request_ms
         self.telemetry = telemetry
         self._events: deque[dict[str, Any]] = deque(maxlen=ring_capacity)
-        self._bindings: "WeakKeyDictionary[Any, TraceContext]" = WeakKeyDictionary()
-        # Live (started, unfinished) traces by id, for the columnar path
-        # where the trace id travels as a field instead of an object
-        # binding.  Bounded so a caller that never finishes its traces
-        # cannot grow it without limit.
-        self._active: "OrderedDict[str, TraceContext]" = OrderedDict()
-        self._active_capacity = max(ring_capacity, 1024)
         self._seen = 0
         self._lock = threading.Lock()
         self._io_lock = threading.Lock()
@@ -262,57 +250,26 @@ class Tracer:
         A non-``None`` *trace_id* marks a client-supplied id: it is
         adopted verbatim and always sampled.
         """
-        with self._lock:
-            if trace_id is None:
+        if trace_id is None:
+            rate = self.sample_rate
+            with self._lock:
                 self._seen += 1
-                rate = self.sample_rate
-                if int(self._seen * rate) <= int((self._seen - 1) * rate):
-                    if self.telemetry is not None:
-                        self.telemetry.increment("trace.unsampled")
-                    return None
-                trace_id = new_trace_id()
-            trace = TraceContext(
-                trace_id,
-                kind,
-                request_id=request_id,
-                user_id=user_id,
-                caller_id=caller_id,
-            )
-            self._active[trace_id] = trace
-            while len(self._active) > self._active_capacity:
-                self._active.popitem(last=False)
+                sampled = int(self._seen * rate) > int((self._seen - 1) * rate)
+            if not sampled:
+                if self.telemetry is not None:
+                    self.telemetry.increment("trace.unsampled")
+                return None
+            trace_id = new_trace_id()
+        trace = TraceContext(
+            trace_id,
+            kind,
+            request_id=request_id,
+            user_id=user_id,
+            caller_id=caller_id,
+        )
         if self.telemetry is not None:
             self.telemetry.increment("trace.started")
         return trace
-
-    def lookup(self, trace_id: str | None) -> TraceContext | None:
-        """The live trace carrying *trace_id* (``None`` when unknown)."""
-        if trace_id is None:
-            return None
-        with self._lock:
-            return self._active.get(trace_id)
-
-    def bind(self, obj: Any, trace: TraceContext) -> None:
-        """Attach *trace* to a request object for downstream stages.
-
-        The binding is weak: it vanishes with the request object, so
-        in-flight requests bound it and nothing leaks afterwards.  An
-        object that cannot be weak-referenced is silently left unbound
-        (its stages simply record no spans).
-        """
-        try:
-            with self._lock:
-                self._bindings[obj] = trace
-        except TypeError:
-            pass
-
-    def trace_for(self, obj: Any) -> TraceContext | None:
-        """The trace bound to *obj* (``None`` when untraced)."""
-        try:
-            with self._lock:
-                return self._bindings.get(obj)
-        except TypeError:
-            return None
 
     def finish(self, trace: TraceContext | None) -> None:
         """Seal a trace and export its event (idempotent, ``None``-safe)."""
@@ -320,8 +277,6 @@ class Tracer:
             return
         trace._finished = True
         trace.total_s = perf_counter() - trace.started_s
-        with self._lock:
-            self._active.pop(trace.trace_id, None)
         self._export(trace.to_event())
 
     def finish_frame(
@@ -343,8 +298,6 @@ class Tracer:
             return
         trace._finished = True
         trace.total_s = perf_counter() - trace.started_s
-        with self._lock:
-            self._active.pop(trace.trace_id, None)
         frame_event = trace.to_event()
         shared_spans = frame_event["spans"]
         shared_attrs = frame_event.get("attrs")

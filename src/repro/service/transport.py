@@ -112,6 +112,7 @@ from repro.service.envelope import (
     sealed_from_payload,
     sealed_to_payload,
     unseal,
+    verify_echo,
 )
 from repro.service.frontend import MicroBatchQueue, ServiceFrontend
 from repro.service.protocol import (
@@ -155,9 +156,10 @@ HEALTH_PATH = "/healthz"
 DEADLINE_HEADER = "X-Deadline-S"
 #: Telemetry endpoint.
 METRICS_PATH = "/metrics"
-#: Mergeable histogram families as JSON — the shard router scrapes this
-#: (alongside METRICS_PATH) to aggregate fleet-wide quantiles; kept off
-#: the main snapshot so its JSON surface stays byte-for-byte unchanged.
+#: The worker's scrape document as JSON: counters, caller table and the
+#: mergeable histogram families.  The shard router reads it in one round
+#: trip to aggregate fleet-wide quantiles; kept off METRICS_PATH so that
+#: JSON surface stays byte-for-byte unchanged.
 HISTOGRAMS_PATH = "/metrics/histograms"
 
 #: HTTP status for an ErrorResponse, by the exception class that caused it.
@@ -634,24 +636,22 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
         trace_id: str | None = None,
         request_id: str | None = None,
     ) -> TraceContext | None:
-        """Mint (or adopt) a trace at the HTTP door and bind it to *request*.
+        """Mint (or adopt) a trace at the HTTP door for *request*.
 
         The ``X-Trace-Id`` header wins over an envelope-supplied id; either
         marks the trace client-requested (always sampled).  The transport
-        owns the returned trace: it finishes it after response framing.
+        owns the returned trace: it passes it to the envelope processor and
+        finishes it after response framing.
         """
         tracer = self.server.tracer
         if tracer is None:
             return None
-        trace = tracer.start(
+        return tracer.start(
             "http",
             trace_id=self.headers.get(TRACE_HEADER) or trace_id,
             request_id=request_id,
             user_id=getattr(request, "user_id", None),
         )
-        if trace is not None:
-            tracer.bind(request, trace)
-        return trace
 
     def _throttle_oversized(self, n_items: int) -> bool:
         """Answer 429 ``batch-too-large`` when a batch exceeds the bound.
@@ -689,9 +689,13 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
     def _get_extra(self) -> bool:
         if self.path != HISTOGRAMS_PATH:
             return False
-        self._send_json(
-            200, serialization.dumps(self.server.telemetry.histograms_snapshot())
-        )
+        telemetry = self.server.telemetry
+        scrape = {
+            "counters": telemetry.counters_snapshot(),
+            "callers": self.server.callers.snapshot(),
+            "histograms": telemetry.histograms_snapshot(),
+        }
+        self._send_json(200, serialization.dumps(scrape))
         return True
 
     def _dispatch_json(self, payload: dict | list, raw: bytes) -> None:
@@ -724,7 +728,7 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
             # Legacy payloads ride in a default-caller envelope, so the v1
             # endpoint shares the processor's dispatch path (and telemetry)
             # with /v2 while staying bit-for-bit compatible on the wire.
-            response = self.server.dispatch_legacy(request)
+            response = self.server.dispatch_legacy(request, trace)
         except Exception as error:  # defensive: the frontend maps errors
             self._count("server_errors")
             response = ErrorResponse(
@@ -789,7 +793,7 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
             request_id=envelope.request_id,
         )
         try:
-            sealed = self.server.processor.process(envelope, plane=plane)
+            sealed = self.server.processor.process(envelope, plane=plane, trace=trace)
         except Exception as error:  # defensive: the processor maps errors
             self._count("server_errors")
             sealed = SealedResponse(
@@ -930,21 +934,25 @@ class _ServerChannel:
     queue (cross-connection coalescing + admission control) when one is
     attached; control-plane singles use the frontend's control door; batch
     dispatch goes straight through ``submit_many`` (a batch already is a
-    batch).
+    batch).  Each request's trace rides along to the layer that spans it.
     """
 
     def __init__(self, server: "ServiceHTTPServer") -> None:
         self.server = server
 
-    def submit(self, request: Request) -> Response:
+    def submit(self, request: Request, trace: TraceContext | None = None) -> Response:
         if is_data_plane(request):
             if self.server.queue is not None:
-                return self.server.queue.submit(request).result()
-            return self.server.frontend.submit(request)
-        return self.server.frontend.submit_control(request)
+                return self.server.queue.submit(request, trace).result()
+            return self.server.frontend.submit(request, trace)
+        return self.server.frontend.submit_control(request, trace)
 
-    def submit_many(self, requests: Sequence[Request]) -> list[Response]:
-        return self.server.frontend.submit_many(requests)
+    def submit_many(
+        self,
+        requests: Sequence[Request],
+        traces: Sequence[TraceContext | None] | None = None,
+    ) -> list[Response]:
+        return self.server.frontend.submit_many(requests, traces)
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -1078,17 +1086,16 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Attach (or detach, with ``None``) a tracer to the serving path.
 
-        Wires the same tracer into every stage a request crosses — the
-        transport, the envelope processor, the frontend and its gateway —
-        so spans recorded at each layer land on one trace.  Safe to flip
-        at runtime: each stage re-reads its ``tracer`` attribute per
-        request, which the overhead benchmark relies on to compare traced
-        and untraced throughput on one warmed-up server.
+        The two doors that mint traces read it: the transport (HTTP and
+        binary frames) and the envelope processor (envelopes arriving
+        without a trace).  Every later stage records its spans on the
+        trace passed down with the request.  Safe to flip at runtime: each
+        door re-reads its ``tracer`` attribute per request, which the
+        overhead benchmark relies on to compare traced and untraced
+        throughput on one warmed-up server.
         """
         self.tracer = tracer
         self.processor.tracer = tracer
-        self.frontend.tracer = tracer
-        self.frontend.gateway.tracer = tracer
 
     # ------------------------------------------------------------------ #
     # dispatch (shared by single and batch endpoints)
@@ -1112,14 +1119,22 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             )
         return sealed.response
 
-    def dispatch_legacy(self, request: Request) -> Response:
-        """Dispatch one bare (v1) request under the default-caller envelope."""
+    def dispatch_legacy(
+        self, request: Request, trace: TraceContext | None = None
+    ) -> Response:
+        """Dispatch one bare (v1) request under the default-caller envelope.
+
+        *trace* is the transport's trace of the request (see
+        :meth:`EnvelopeProcessor.process
+        <repro.service.envelope.EnvelopeProcessor.process>`).
+        """
         sealed = self.processor.process(
             Envelope(
                 request=request,
                 api_key=self._legacy_api_key,
                 request_id=f"legacy-{next(self._legacy_ids)}",
-            )
+            ),
+            trace=trace,
         )
         return self._as_legacy_response(sealed)
 
@@ -1228,11 +1243,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
                 # the stage explicitly so span sets stay uniform across paths.
                 trace.add_span(SPAN_QUEUE_WAIT, 0.0, queued=False)
             if frame.op == "authenticate":
-                result = self.frontend.submit_columns(
-                    frame.to_columns(
-                        trace_id=None if trace is None else trace.trace_id
-                    )
-                )
+                result = self.frontend.submit_columns(frame.to_columns(), trace)
                 encode = partial(
                     wirebin.encode_columnar_response,
                     result,
@@ -1242,10 +1253,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
                 errors = {index: error.error for index, error in result.errors.items()}
             else:
                 requests = frame.to_requests()
-                if trace is not None:
-                    for request in requests:
-                        tracer.bind(request, trace)
-                responses = self.frontend.submit_many(requests)
+                responses = self.frontend.submit_many(
+                    requests, None if trace is None else [trace] * len(requests)
+                )
                 encode = partial(
                     wirebin.encode_response_frame,
                     frame.op,
@@ -1663,11 +1673,6 @@ class ServiceClient:
     # protocol surface (mirrors ServiceFrontend)
     # ------------------------------------------------------------------ #
 
-    # The v2 unseal contract (request-id echo check, denial →
-    # PermissionError) is defined once in the envelope module and shared
-    # with the in-process EnvelopeChannel.
-    _unseal = staticmethod(unseal)
-
     def submit(
         self, request: Request, idempotency_key: str | None = None
     ) -> Response:
@@ -1706,16 +1711,7 @@ class ServiceClient:
             return loads_response(
                 self._roundtrip("POST", REQUESTS_PATH, dumps_request(request))
             )
-        envelope = Envelope(
-            request=request,
-            api_key=self.api_key,
-            idempotency_key=idempotency_key,
-        )
-        path = V2_REQUESTS_PATH if is_data_plane(request) else V2_ADMIN_PATH
-        sealed = loads_sealed(
-            self._roundtrip("POST", path, dumps_envelope(envelope))
-        )
-        return self._unseal(envelope, sealed)
+        return unseal(*self._post_envelope(request, idempotency_key))
 
     def submit_sealed(
         self, request: Request, idempotency_key: str | None = None
@@ -1746,19 +1742,22 @@ class ServiceClient:
                 "sealed responses require the v2 API; construct the client "
                 "with an api_key"
             )
+        return verify_echo(*self._post_envelope(request, idempotency_key))
+
+    def _post_envelope(
+        self, request: Request, idempotency_key: str | None
+    ) -> tuple[Envelope, SealedResponse]:
+        """POST *request* enveloped to its plane's endpoint; the envelope
+        and the (unchecked) sealed answer."""
         envelope = Envelope(
             request=request,
             api_key=self.api_key,
             idempotency_key=idempotency_key,
         )
         path = V2_REQUESTS_PATH if is_data_plane(request) else V2_ADMIN_PATH
-        sealed = loads_sealed(self._roundtrip("POST", path, dumps_envelope(envelope)))
-        if sealed.request_id != envelope.request_id:
-            raise ValueError(
-                f"response echoes request_id {sealed.request_id!r}, "
-                f"expected {envelope.request_id!r}"
-            )
-        return sealed
+        return envelope, loads_sealed(
+            self._roundtrip("POST", path, dumps_envelope(envelope))
+        )
 
     def submit_many(self, requests: Sequence[Request]) -> list[Response]:
         """Send a batch in one exchange; responses come back in order.
@@ -1826,7 +1825,7 @@ class ServiceClient:
                 + (f" of length {len(payload)}" if isinstance(payload, list) else "")
             )
         return [
-            self._unseal(envelope, sealed_from_payload(item))
+            unseal(envelope, sealed_from_payload(item))
             for envelope, item in zip(envelopes, payload)
         ]
 

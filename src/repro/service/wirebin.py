@@ -370,12 +370,8 @@ class RequestFrame:
     def n_windows(self) -> int:
         return len(self.features)
 
-    def to_columns(self, trace_id: str | None = None) -> AuthenticateColumns:
+    def to_columns(self) -> AuthenticateColumns:
         """The columnar batch of an ``authenticate`` frame (zero-copy).
-
-        *trace_id* threads the transport-door trace into the batch so the
-        frontend can attach fused-pass spans after the frame crossed the
-        micro-batch queue's thread boundary.
 
         Raises
         ------
@@ -392,7 +388,6 @@ class RequestFrame:
             lengths=self.lengths,
             context_codes=self.context_codes,
             versions=self.versions,
-            trace_id=trace_id,
         )
 
     def to_requests(self) -> list[Request]:

@@ -53,6 +53,7 @@ from repro.service.protocol import (
 from repro.service.registry import ModelRegistry
 from repro.service.transport import (
     HEALTH_PATH,
+    HISTOGRAMS_PATH,
     METRICS_PATH,
     REQUESTS_PATH,
     V2_ADMIN_PATH,
@@ -466,6 +467,27 @@ class TestShardRouter:
                     )
                 )
             ], name
+
+    def test_fleet_scrape_is_one_round_trip_per_worker(self, cluster):
+        router, servers = cluster
+        status, body = _get(servers[0].port, HISTOGRAMS_PATH)
+        assert status == 200
+        assert set(json.loads(body)) == {"counters", "callers", "histograms"}
+        paths = []
+        exchange = router.worker_exchange
+
+        def recording_exchange(shard, method, path, *args, **kwargs):
+            paths.append(path)
+            return exchange(shard, method, path, *args, **kwargs)
+
+        router.worker_exchange = recording_exchange
+        try:
+            view = router.fleet_metrics()
+        finally:
+            del router.worker_exchange
+        assert paths == [HISTOGRAMS_PATH] * len(servers)
+        assert view["shards_scraped"] == list(range(len(servers)))
+        assert "cluster-operator" in view["callers"]
 
     def test_prometheus_view_renders_merged_families(self, cluster):
         router, _ = cluster

@@ -156,7 +156,9 @@ class TestAuthorization:
     ):
         calls = []
         original = frontend.gateway.handle
-        frontend.gateway.handle = lambda request: calls.append(request) or original(request)
+        frontend.gateway.handle = lambda request, trace=None: (
+            calls.append(request) or original(request, trace)
+        )
         sealed = processor.process(Envelope(request=auth_request()))
         assert sealed.denied
         assert sealed.response.code == CODE_MISSING_KEY
@@ -177,7 +179,9 @@ class TestAuthorization:
         data_key = callers.register("device-gw", (SCOPE_DATA_WRITE,))
         calls = []
         original = frontend.gateway.handle
-        frontend.gateway.handle = lambda request: calls.append(request) or original(request)
+        frontend.gateway.handle = lambda request, trace=None: (
+            calls.append(request) or original(request, trace)
+        )
         sealed = processor.process(
             Envelope(request=RollbackRequest(user_id="alice"), api_key=data_key)
         )
@@ -222,7 +226,9 @@ class TestPlaneEnforcement:
         key = callers.register("operator", (SCOPE_DATA_WRITE, SCOPE_ADMIN))
         calls = []
         original = frontend.gateway.handle
-        frontend.gateway.handle = lambda request: calls.append(request) or original(request)
+        frontend.gateway.handle = lambda request, trace=None: (
+            calls.append(request) or original(request, trace)
+        )
         for request in (
             RollbackRequest(user_id="alice"),
             SnapshotRequest(),
@@ -352,10 +358,10 @@ class TestDispatchAndIdempotency:
         release = threading.Event()
         original = frontend.gateway.handle
 
-        def slow_handle(request):
+        def slow_handle(request, trace=None):
             started.set()
             assert release.wait(timeout=10)
-            return original(request)
+            return original(request, trace)
 
         frontend.gateway.handle = slow_handle
         sealed: dict[str, object] = {}

@@ -519,10 +519,10 @@ def _block_gateway(frontend):
     entered, release = threading.Event(), threading.Event()
     original = frontend.gateway.handle
 
-    def slow_handle(request):
+    def slow_handle(request, trace=None):
         entered.set()
         assert release.wait(timeout=10), "test never released the gateway"
-        return original(request)
+        return original(request, trace)
 
     frontend.gateway.handle = slow_handle
     return entered, release

@@ -1,8 +1,8 @@
 """Tests for the observability layer: histograms, tracing, Prometheus.
 
 Covers the mergeable fixed-bucket :class:`Histogram`, the
-:class:`~repro.service.tracing.Tracer` lifecycle (sampling, binding,
-frame fan-out, sinks), the Prometheus text exposition (pinned against a
+:class:`~repro.service.tracing.Tracer` lifecycle (sampling, frame
+fan-out, sinks), the Prometheus text exposition (pinned against a
 golden fixture), and hub thread-safety under a concurrent snapshotter.
 """
 
@@ -247,24 +247,6 @@ class TestTracer:
         with pytest.raises(ValueError):
             Tracer(slow_request_ms=-1.0)
 
-    def test_bind_and_lookup_resolve_the_same_trace(self):
-        tracer = Tracer()
-        trace = tracer.start("envelope", request_id="r-1")
-        marker = object()
-
-        class Box:
-            pass
-
-        box = Box()
-        tracer.bind(box, trace)
-        assert tracer.trace_for(box) is trace
-        assert tracer.trace_for(marker) is None
-        assert tracer.lookup(trace.trace_id) is trace
-        assert tracer.lookup("unknown") is None
-        assert tracer.lookup(None) is None
-        tracer.finish(trace)
-        assert tracer.lookup(trace.trace_id) is None  # finished = not live
-
     def test_finish_is_idempotent_and_none_safe(self):
         tracer = Tracer()
         tracer.finish(None)
@@ -368,13 +350,6 @@ class TestTracer:
         assert hub.counter_value("trace.started") == 5
         assert hub.counter_value("trace.unsampled") == 5
         assert hub.counter_value("trace.finished") == 5
-
-    def test_active_table_is_bounded(self):
-        tracer = Tracer(ring_capacity=8)  # active capacity floors at 1024
-        first = tracer.start("http")
-        for _ in range(2000):
-            tracer.start("http")
-        assert tracer.lookup(first.trace_id) is None  # evicted, not leaked
 
 
 # --------------------------------------------------------------------- #

@@ -283,10 +283,10 @@ class TestThrottlingOverTheWire:
         entered, release = threading.Event(), threading.Event()
         original = frontend.gateway.handle
 
-        def slow_handle(request):
+        def slow_handle(request, trace=None):
             entered.set()
             assert release.wait(timeout=10)
-            return original(request)
+            return original(request, trace)
 
         frontend.gateway.handle = slow_handle
         queue = MicroBatchQueue(
@@ -379,7 +379,9 @@ class TestV2Endpoints:
     def test_missing_api_key_answers_401_and_never_reaches_the_gateway(self, frontend, server):
         calls = []
         original = frontend.gateway.handle
-        frontend.gateway.handle = lambda request: calls.append(request) or original(request)
+        frontend.gateway.handle = lambda request, trace=None: (
+            calls.append(request) or original(request, trace)
+        )
         status, payload = raw_post(
             server, self._envelope_body(self.AUTH_PAYLOAD, None), path="/v2/requests"
         )
@@ -401,7 +403,9 @@ class TestV2Endpoints:
         data_key, admin_key, _ = self._keys(server)
         calls = []
         original = frontend.gateway.handle
-        frontend.gateway.handle = lambda request: calls.append(request) or original(request)
+        frontend.gateway.handle = lambda request, trace=None: (
+            calls.append(request) or original(request, trace)
+        )
         # A data-scoped caller cannot roll back...
         status, payload = raw_post(
             server,
