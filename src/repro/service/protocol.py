@@ -291,7 +291,9 @@ class AuthenticateColumns:
     from immutable wire bytes (:func:`np.frombuffer` views are read-only),
     and copying a 100k-window block would defeat the zero-copy decode.
 
-    ``eq=False`` for the usual array-field reason.
+    ``eq=False`` for the usual array-field reason.  A traced batch's
+    trace is passed next to it
+    (:meth:`~repro.service.frontend.ServiceFrontend.submit_columns`).
 
     Attributes
     ----------
@@ -308,10 +310,6 @@ class AuthenticateColumns:
     versions:
         Optional pinned model version per request (``None`` entries select
         the newest active version; ``versions=None`` means no pins at all).
-
-    A traced batch's trace is passed next to it
-    (:meth:`~repro.service.frontend.ServiceFrontend.submit_columns`), not
-    carried on it.
     """
 
     user_ids: tuple[str, ...]
