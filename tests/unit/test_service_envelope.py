@@ -31,6 +31,7 @@ from repro.service.envelope import (
     sealed_from_payload,
     sealed_to_payload,
 )
+from repro.service.fleet import FleetSimulator
 from repro.service.frontend import ServiceFrontend
 from repro.service.gateway import AuthenticationGateway
 from repro.service.protocol import (
@@ -45,6 +46,7 @@ from repro.service.protocol import (
     SnapshotRequest,
     SnapshotResponse,
 )
+from repro.service.tracing import Tracer
 
 
 def matrix(uid, mean, n=15, d=5, context="stationary", seed=0):
@@ -444,6 +446,30 @@ class TestEnvelopeChannel:
         channel = EnvelopeChannel(processor, "bogus-key")
         with pytest.raises(PermissionError, match=CODE_UNKNOWN_KEY):
             channel.submit(auth_request())
+
+
+class TestTracing:
+    def test_equal_requests_in_one_batch_get_a_trace_each(self, frontend):
+        # SnapshotRequest() instances compare (and hash) equal; each
+        # envelope's trace must still be its own.
+        simulator = FleetSimulator(frontend=frontend, tracer=Tracer(sample_rate=1.0))
+        sealed = simulator.processor.process_many(
+            [
+                Envelope(request=SnapshotRequest(), api_key=simulator.api_key)
+                for _ in range(2)
+            ]
+        )
+        assert all(isinstance(item.response, SnapshotResponse) for item in sealed)
+        assert sealed[0].trace_id != sealed[1].trace_id
+        events = simulator.tracer.events()
+        assert [event["trace_id"] for event in events] == [
+            item.trace_id for item in sealed
+        ]
+        for event in events:
+            assert [span["name"] for span in event["spans"]] == [
+                "admission",
+                "gateway",
+            ]
 
 
 class TestWireCodec:

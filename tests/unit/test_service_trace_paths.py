@@ -12,7 +12,6 @@ import pytest
 
 from repro.features.vector import FeatureMatrix
 from repro.sensors.types import CoarseContext
-from repro.service.envelope import Envelope
 from repro.service.fleet import FleetSimulator
 from repro.service.frontend import MicroBatchQueue, ServiceFrontend
 from repro.service.gateway import AuthenticationGateway
@@ -165,25 +164,5 @@ class TestInProcessChannel:
         assert shapes(simulator.tracer) == [
             ("envelope", BATCH_AUTH),
             ("envelope", BATCH_AUTH),
-            ("envelope", ["admission", "gateway"]),
-        ]
-
-    def test_equal_requests_in_one_batch_get_a_trace_each(self, simulator):
-        # SnapshotRequest() instances compare (and hash) equal; each
-        # envelope's trace must still be its own.
-        sealed = simulator.processor.process_many(
-            [
-                Envelope(request=SnapshotRequest(), api_key=simulator.api_key)
-                for _ in range(2)
-            ]
-        )
-        assert all(isinstance(item.response, SnapshotResponse) for item in sealed)
-        assert sealed[0].trace_id != sealed[1].trace_id
-        events = simulator.tracer.events()
-        assert [event["trace_id"] for event in events] == [
-            item.trace_id for item in sealed
-        ]
-        assert shapes(simulator.tracer) == [
-            ("envelope", ["admission", "gateway"]),
             ("envelope", ["admission", "gateway"]),
         ]
