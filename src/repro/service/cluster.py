@@ -839,26 +839,13 @@ class _RouterRequestHandler(ProtocolRequestHandler):
         response = ErrorResponse(
             request_kind=kind, error="ShardUnavailable", message=str(error)
         )
-        headers = {"Retry-After": "1"}
-
-        def _sealed(item: Any) -> dict:
-            request_id = (
-                str(item.get("request_id", "")) if isinstance(item, dict) else ""
-            )
-            return sealed_to_payload(
-                SealedResponse(response=response, request_id=request_id)
-            )
-
-        if isinstance(payload, dict):
-            self._send_json(503, serialization.dumps(_sealed(payload)), headers)
-        elif isinstance(payload, list):
-            self._send_json(
-                503,
-                serialization.dumps([_sealed(item) for item in payload]),
-                headers,
-            )
+        if isinstance(payload, list):
+            body = [self._item_payload(response, item) for item in payload]
+        elif isinstance(payload, dict):
+            body = self._item_payload(response, payload)
         else:
-            self._send_json(503, dumps_response(response), headers)
+            body = response_to_payload(response)
+        self._send_json(503, serialization.dumps(body), {"Retry-After": "1"})
 
     # ------------------------------------------------------------------ #
     # door hooks
@@ -1007,21 +994,11 @@ class _RouterRequestHandler(ProtocolRequestHandler):
                 # Unroutable items answer in place with a typed error (the
                 # worker transport does the same for malformed ones).
                 error = ErrorResponse(
-                    request_kind="envelope" if not legacy else "transport",
+                    request_kind="transport" if legacy else "envelope",
                     error="ValueError",
                     message="cannot route: the request carries no user_id",
                 )
-                if legacy:
-                    answers[index] = response_to_payload(error)
-                else:
-                    request_id = (
-                        str(item.get("request_id", ""))
-                        if isinstance(item, dict)
-                        else ""
-                    )
-                    answers[index] = sealed_to_payload(
-                        SealedResponse(response=error, request_id=request_id)
-                    )
+                answers[index] = self._item_payload(error, item)
                 continue
             groups.setdefault(
                 self.server.ring.shard_for(user_id, exclude=self.server.draining()),

@@ -178,6 +178,17 @@ class DeniedResponse:
         return STATUS_BY_CODE.get(self.code, 403)
 
 
+def unsupported_version(kind: str, api_version: int) -> DeniedResponse:
+    """The denial of a *kind* request (or frame) speaking *api_version*,
+    which is not :data:`API_VERSION`."""
+    return DeniedResponse(
+        request_kind=kind,
+        code=CODE_UNSUPPORTED_VERSION,
+        message=f"api_version {api_version} is not supported; this service "
+        f"speaks v{API_VERSION} (and the legacy /v1 endpoint)",
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SealedResponse:
     """A response sealed back into the v2 envelope contract.
@@ -818,7 +829,12 @@ class EnvelopeProcessor:
 
     :meth:`process` and :meth:`process_many` run one body; they differ
     only in how the admitted requests dispatch.  Each request's trace is
-    passed down the dispatch call next to it.
+    passed down the dispatch call next to it.  A caller that traces its
+    requests passes their traces in and finishes them: the HTTP door
+    does, so a server draws one trace per request.  The processor mints a
+    trace only for an envelope arriving without one while it has a
+    :attr:`tracer` of its own, as in process
+    (:class:`~repro.service.fleet.FleetSimulator`).
 
     Parameters
     ----------
@@ -857,9 +873,11 @@ class EnvelopeProcessor:
         )
         self.channel = channel if channel is not None else frontend
         self.telemetry = frontend.telemetry
-        # Set by the transport / fleet when request tracing is enabled: it
-        # mints the traces of envelopes that arrive without one.  ``None``
-        # keeps admission byte-identical to the untraced path.
+        # Set in process (the fleet simulator) when request tracing is
+        # enabled: it mints the traces of envelopes that arrive without
+        # one.  A server leaves it unset, as its HTTP door mints every
+        # trace.  ``None`` keeps admission byte-identical to the untraced
+        # path.
         self.tracer: Any | None = None
         self.idempotency_capacity = idempotency_capacity
         self._idempotent: "OrderedDict[tuple[str, str], Response]" = OrderedDict()
@@ -926,13 +944,7 @@ class EnvelopeProcessor:
             self.telemetry.increment("envelope.denied")
             return (
                 SealedResponse(
-                    response=DeniedResponse(
-                        request_kind=kind,
-                        code=CODE_UNSUPPORTED_VERSION,
-                        message=f"api_version {envelope.api_version} is not "
-                        f"supported; this service speaks v{API_VERSION} "
-                        "(and the legacy /v1 endpoint)",
-                    ),
+                    response=unsupported_version(kind, envelope.api_version),
                     request_id=envelope.request_id,
                     api_version=envelope.api_version,
                 ),
@@ -1140,7 +1152,10 @@ class EnvelopeProcessor:
         return self._process([envelope], plane, self._dispatch, [trace])[0]
 
     def process_many(
-        self, envelopes: Sequence[Envelope], plane: str | None = None
+        self,
+        envelopes: Sequence[Envelope],
+        plane: str | None = None,
+        traces: Sequence[TraceContext | None] | None = None,
     ) -> list[SealedResponse]:
         """Authorize and dispatch a batch, preserving submission order.
 
@@ -1150,9 +1165,12 @@ class EnvelopeProcessor:
         without costing their neighbours anything.  Idempotency keys apply
         exactly as on the single path — a key repeated *within* one batch
         executes once, with the later occurrence replaying the first's
-        response.  Each envelope gets its own trace.
+        response.  Each envelope gets its own trace: *traces* holds the
+        caller's trace of each envelope, which the caller finishes; a
+        ``None`` entry (or ``None`` for all) mints one here when a tracer
+        is attached.
         """
-        return self._process(envelopes, plane, self.channel.submit_many, None)
+        return self._process(envelopes, plane, self.channel.submit_many, traces)
 
     def _dispatch(
         self,

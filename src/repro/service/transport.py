@@ -62,7 +62,10 @@ connections* coalesce into fused scoring passes and inherit its admission
 control — a full queue surfaces as a typed
 :class:`~repro.service.protocol.ThrottledResponse` with HTTP 429 and a
 ``Retry-After`` header.  Batch arrays bypass the queue (they already are a
-batch) and dispatch straight through ``submit_many``.
+batch) and dispatch straight through ``submit_many``.  One handler body
+answers every JSON POST — both versions, single and batch — and it is the
+only place a server draws a JSON request's trace: one sampling draw per
+request (per envelope of a batch), passed down with the request.
 
 The matching :class:`ServiceClient` keeps one persistent HTTP/1.1
 connection per client (re-established transparently after a drop) and
@@ -91,12 +94,11 @@ from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import count
 from time import monotonic, perf_counter, sleep
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.service import wirebin
 from repro.service.envelope import (
     API_VERSION,
-    CODE_UNSUPPORTED_VERSION,
     SCOPE_ADMIN,
     SCOPE_DATA_WRITE,
     CallerRegistry,
@@ -112,6 +114,7 @@ from repro.service.envelope import (
     sealed_from_payload,
     sealed_to_payload,
     unseal,
+    unsupported_version,
     verify_echo,
 )
 from repro.service.frontend import MicroBatchQueue, ServiceFrontend
@@ -304,36 +307,29 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
     ) -> None:
         self._send_raw(status, body.encode("utf-8"), "application/json", headers)
 
-    def _send_typed(
-        self,
-        status: int,
-        response: Response,
-        encode: Callable[[Any], str],
-        payload: Any,
-        trace: TraceContext | None = None,
+    def _send_response(
+        self, answer: Response | SealedResponse, trace: TraceContext | None = None
     ) -> None:
-        """Answer *response*, framed as ``encode(payload)``."""
+        """Answer one bare or sealed response with the status it maps to,
+        finishing *trace* (after its framing span) before the write."""
+        if isinstance(answer, SealedResponse):
+            status, response, encode = status_for_sealed(answer), answer.response, dumps_sealed
+        else:
+            status, response, encode = status_for_response(answer), answer, dumps_response
         headers = {}
         if isinstance(response, ThrottledResponse):
             headers["Retry-After"] = _retry_after(response.retry_after_s)
         if trace is None:
-            self._send_json(status, encode(payload), headers)
+            self._send_json(status, encode(answer), headers)
             return
         headers[TRACE_HEADER] = trace.trace_id
         started = perf_counter()
-        body = encode(payload)
+        body = encode(answer)
         trace.add_span(SPAN_RESPONSE_FRAMING, perf_counter() - started)
         # Finish (and export) before the socket write so a client that saw
         # the response is guaranteed to find the trace event exported.
         self.server.tracer.finish(trace)
         self._send_json(status, body, headers)
-
-    def _send_response(
-        self, response: Response, trace: TraceContext | None = None
-    ) -> None:
-        self._send_typed(
-            status_for_response(response), response, dumps_response, response, trace
-        )
 
     def _count(self, name: str) -> None:
         self.server.telemetry.increment(f"{self.counter_prefix}.{name}")
@@ -347,6 +343,15 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
     def _reject(self, kind: str, error: Exception) -> None:
         """Answer a typed 400: the client sent something unusable."""
         self._send_json(400, dumps_response(self._client_error(kind, error)))
+
+    def _item_payload(self, response: Response, item: Any) -> dict[str, Any]:
+        """*response* in this path's per-item shape: bare on ``/v1``,
+        sealed on ``/v2`` (echoing *item*'s ``request_id`` when it has
+        one), so a client can read every item of its batch alike."""
+        if self.path == REQUESTS_PATH:
+            return response_to_payload(response)
+        request_id = str(item.get("request_id", "")) if isinstance(item, dict) else ""
+        return sealed_to_payload(SealedResponse(response=response, request_id=request_id))
 
     # ------------------------------------------------------------------ #
     # GET
@@ -623,36 +628,6 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
 
     server: "ServiceHTTPServer"
 
-    def _send_sealed(
-        self, sealed: SealedResponse, trace: TraceContext | None = None
-    ) -> None:
-        self._send_typed(
-            status_for_sealed(sealed), sealed.response, dumps_sealed, sealed, trace
-        )
-
-    def _start_http_trace(
-        self,
-        request: Request,
-        trace_id: str | None = None,
-        request_id: str | None = None,
-    ) -> TraceContext | None:
-        """Mint (or adopt) a trace at the HTTP door for *request*.
-
-        The ``X-Trace-Id`` header wins over an envelope-supplied id; either
-        marks the trace client-requested (always sampled).  The transport
-        owns the returned trace: it passes it to the envelope processor and
-        finishes it after response framing.
-        """
-        tracer = self.server.tracer
-        if tracer is None:
-            return None
-        return tracer.start(
-            "http",
-            trace_id=self.headers.get(TRACE_HEADER) or trace_id,
-            request_id=request_id,
-            user_id=getattr(request, "user_id", None),
-        )
-
     def _throttle_oversized(self, n_items: int) -> bool:
         """Answer 429 ``batch-too-large`` when a batch exceeds the bound.
 
@@ -699,154 +674,153 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
         return True
 
     def _dispatch_json(self, payload: dict | list, raw: bytes) -> None:
-        if self.path == REQUESTS_PATH:
-            if isinstance(payload, list):
-                self._handle_batch(payload)
+        """The one body of every JSON door: ``/v1`` and ``/v2``, single
+        and batch.
+
+        Each item becomes an envelope or answers in place with a typed
+        client error; the envelopes make one processor call (``process``
+        for a single body, so it keeps the micro-batch queue;
+        ``process_many`` for an array) and every answer renders in the
+        path's shape.  A single body answers its response's status; a
+        batch always answers ``200``, each item carrying its own outcome,
+        so one bad request never poisons its neighbours.
+        """
+        batch = isinstance(payload, list)
+        if batch and self._throttle_oversized(len(payload)):
+            return
+        legacy = self.path == REQUESTS_PATH
+        items = payload if batch else [payload]
+        answers: list[Any] = [None] * len(items)
+        envelopes: list[Envelope] = []
+        positions: list[int] = []
+        for index, item in enumerate(items):
+            try:
+                envelopes.append(self._envelope(item, index))
+                positions.append(index)
+            except Exception as error:
+                kind = "envelope"
+                if legacy:
+                    kind = str(item.get("kind", "unknown")) if isinstance(item, dict) else "unknown"
+                response = self._client_error(kind, error)
+                if not batch:
+                    # A malformed single body answers bare at both versions.
+                    self._send_response(response)
+                    return
+                answers[index] = self._item_payload(response, item)
+        traces = self._start_traces(envelopes, batch)
+        plane = None if legacy else "control" if self.path == V2_ADMIN_PATH else "data"
+        processor = self.server.processor
+        try:
+            if batch:
+                sealed = processor.process_many(envelopes, plane, traces)
             else:
-                self._handle_single(payload)
-        elif isinstance(payload, list):
-            self._handle_v2_batch(payload, plane="data")
-        else:
-            self._handle_v2(
-                payload, plane="control" if self.path == V2_ADMIN_PATH else "data"
+                sealed = [processor.process(envelopes[0], plane, traces and traces[0])]
+        except Exception as error:  # defensive: the processor maps errors
+            self._count("server_errors")
+            kind = "envelope"
+            if legacy:
+                kind = "unknown" if batch else str(payload.get("kind", "unknown"))
+            failure = ErrorResponse(
+                request_kind=kind, error=type(error).__name__, message=str(error)
             )
+            sealed = [
+                SealedResponse(response=failure, request_id=envelope.request_id)
+                for envelope in envelopes
+            ]
+        if legacy:
+            sealed = [self._as_legacy_response(item) for item in sealed]
+        if not batch:
+            self._send_response(sealed[0], traces and traces[0])
+            return
+        for position, answer in zip(positions, sealed):
+            answers[position] = (
+                response_to_payload(answer) if legacy else sealed_to_payload(answer)
+            )
+        for trace in traces or ():
+            self.server.tracer.finish(trace)
+        self._send_json(200, serialization.dumps(answers))
+
+    def _envelope(self, item: Any, index: int) -> Envelope:
+        """One JSON item as an envelope; raises when it is malformed.
+
+        A bare ``/v1`` request rides under the legacy caller's envelope
+        (full scopes), so both versions share the processor's dispatch
+        path and telemetry while ``/v1`` stays bit-for-bit compatible.
+        """
+        if self.path != REQUESTS_PATH:
+            return envelope_from_payload(item)
+        if not isinstance(item, dict):
+            raise TypeError(
+                f"batch item {index} must be a wire-encoded request "
+                f"object, got {type(item).__name__}"
+            )
+        server = self.server
+        return Envelope(
+            request=request_from_payload(item),
+            api_key=server._legacy_api_key,
+            request_id=f"legacy-{next(server._legacy_ids)}",
+        )
+
+    @staticmethod
+    def _as_legacy_response(sealed: SealedResponse) -> Response:
+        """Unwrap a legacy-envelope outcome into a bare v1 response.
+
+        The default caller carries full scopes, so denial only happens if
+        an operator revoked it (a legitimate way to switch the v1 surface
+        off); that surfaces as a typed 403 ``ErrorResponse``, never as a
+        crashed handler thread.
+        """
+        if isinstance(sealed.response, DeniedResponse):
+            return ErrorResponse(
+                request_kind=sealed.response.request_kind,
+                error="PermissionError",
+                message=f"the legacy /v1 caller was revoked "
+                f"({sealed.response.code}); use the authenticated /v2 API",
+            )
+        return sealed.response
+
+    def _start_traces(
+        self, envelopes: list[Envelope], batch: bool
+    ) -> list[TraceContext | None] | None:
+        """Draw this request's traces, one per envelope (``None`` untraced).
+
+        On a server this door is the only place a JSON request's trace is
+        drawn, so every request consumes one sampling draw.  A single body
+        gets an ``http`` trace, adopting ``X-Trace-Id`` or else the
+        envelope's ``trace_id``; each envelope of an array gets its own
+        ``envelope`` trace, adopting its ``trace_id``.  A client-supplied
+        id is always sampled.  The door finishes the traces before it
+        writes the answer.
+        """
+        tracer = self.server.tracer
+        if tracer is None or not envelopes:
+            return None
+        if batch:
+            return [
+                tracer.start(
+                    "envelope",
+                    trace_id=envelope.trace_id,
+                    request_id=envelope.request_id,
+                    user_id=getattr(envelope.request, "user_id", None),
+                )
+                for envelope in envelopes
+            ]
+        (envelope,) = envelopes
+        return [
+            tracer.start(
+                "http",
+                trace_id=self.headers.get(TRACE_HEADER) or envelope.trace_id,
+                # A bare /v1 request has no request id of its own.
+                request_id=None if self.path == REQUESTS_PATH else envelope.request_id,
+                user_id=getattr(envelope.request, "user_id", None),
+            )
+        ]
 
     def _dispatch_frame(
         self, frame: wirebin.RequestFrame, trace_id: str | None
     ) -> tuple[bytes, "DeniedResponse | ThrottledResponse | None"]:
         return self.server.dispatch_frame(frame, trace_id=trace_id)
 
-    def _handle_single(self, payload: dict) -> None:
-        kind = str(payload.get("kind", "unknown"))
-        try:
-            request = request_from_payload(payload)
-        except Exception as error:
-            self._send_response(self._client_error(kind, error))
-            return
-        trace = self._start_http_trace(request)
-        try:
-            # Legacy payloads ride in a default-caller envelope, so the v1
-            # endpoint shares the processor's dispatch path (and telemetry)
-            # with /v2 while staying bit-for-bit compatible on the wire.
-            response = self.server.dispatch_legacy(request, trace)
-        except Exception as error:  # defensive: the frontend maps errors
-            self._count("server_errors")
-            response = ErrorResponse(
-                request_kind=kind, error=type(error).__name__, message=str(error)
-            )
-        self._send_response(response, trace)
-
-    def _handle_batch(self, payloads: list) -> None:
-        if self._throttle_oversized(len(payloads)):
-            return
-        responses: list[Response | None] = [None] * len(payloads)
-        requests: list[Request] = []
-        positions: list[int] = []
-        for index, item in enumerate(payloads):
-            try:
-                if not isinstance(item, dict):
-                    raise TypeError(
-                        f"batch item {index} must be a wire-encoded request "
-                        f"object, got {type(item).__name__}"
-                    )
-                requests.append(request_from_payload(item))
-            except Exception as error:
-                kind = str(item.get("kind", "unknown")) if isinstance(item, dict) else "unknown"
-                responses[index] = self._client_error(kind, error)
-            else:
-                positions.append(index)
-        try:
-            dispatched = self.server.dispatch_many_legacy(requests)
-        except Exception as error:  # defensive: the frontend maps errors
-            self._count("server_errors")
-            dispatched = [
-                ErrorResponse(
-                    request_kind="unknown",
-                    error=type(error).__name__,
-                    message=str(error),
-                )
-                for _ in requests
-            ]
-        for position, response in zip(positions, dispatched):
-            responses[position] = response
-        body = serialization.dumps(
-            [response_to_payload(response) for response in responses]
-        )
-        # A batch always answers 200: each item carries its own outcome
-        # (including error-response / throttled-response), mirroring
-        # submit_many's one-bad-request-never-poisons-the-batch contract.
-        self._send_json(200, body)
-
-    # ------------------------------------------------------------------ #
-    # the v2 (enveloped) endpoints
-    # ------------------------------------------------------------------ #
-
-    def _handle_v2(self, payload: dict, plane: str) -> None:
-        try:
-            envelope = envelope_from_payload(payload)
-        except Exception as error:
-            self._send_response(self._client_error("envelope", error))
-            return
-        trace = self._start_http_trace(
-            envelope.request,
-            trace_id=envelope.trace_id,
-            request_id=envelope.request_id,
-        )
-        try:
-            sealed = self.server.processor.process(envelope, plane=plane, trace=trace)
-        except Exception as error:  # defensive: the processor maps errors
-            self._count("server_errors")
-            sealed = SealedResponse(
-                response=ErrorResponse(
-                    request_kind="envelope",
-                    error=type(error).__name__,
-                    message=str(error),
-                ),
-                request_id=envelope.request_id,
-            )
-        self._send_sealed(sealed, trace)
-
-    def _handle_v2_batch(self, payloads: list, plane: str) -> None:
-        if self._throttle_oversized(len(payloads)):
-            return
-        sealed: list[SealedResponse | None] = [None] * len(payloads)
-        envelopes: list[Envelope] = []
-        positions: list[int] = []
-        for index, item in enumerate(payloads):
-            try:
-                envelopes.append(envelope_from_payload(item))
-            except Exception as error:
-                # A malformed item answers in place; its request_id (when
-                # one was parseable) is still echoed for correlation.
-                request_id = (
-                    str(item.get("request_id", "")) if isinstance(item, dict) else ""
-                )
-                sealed[index] = SealedResponse(
-                    response=self._client_error("envelope", error),
-                    request_id=request_id,
-                )
-            else:
-                positions.append(index)
-        try:
-            processed = self.server.processor.process_many(envelopes, plane=plane)
-        except Exception as error:  # defensive: the processor maps errors
-            self._count("server_errors")
-            processed = [
-                SealedResponse(
-                    response=ErrorResponse(
-                        request_kind="envelope",
-                        error=type(error).__name__,
-                        message=str(error),
-                    ),
-                    request_id=envelope.request_id,
-                )
-                for envelope in envelopes
-            ]
-        for position, item in zip(positions, processed):
-            sealed[position] = item
-        body = serialization.dumps([sealed_to_payload(item) for item in sealed])
-        # Batches answer 200 with per-item sealed outcomes, mirroring /v1.
-        self._send_json(200, body)
 
 class _BoundedBodyReader:
     """``read(n)`` over a Content-Length request body (never over-reads)."""
@@ -928,24 +902,23 @@ class _ChunkedBodyReader:
 
 
 class _ServerChannel:
-    """The processor's dispatch hook: queue-aware, plane-aware.
+    """The processor's data-plane dispatch hook: queue-aware.
 
     Admitted single data-plane requests go through the server's micro-batch
     queue (cross-connection coalescing + admission control) when one is
-    attached; control-plane singles use the frontend's control door; batch
-    dispatch goes straight through ``submit_many`` (a batch already is a
-    batch).  Each request's trace rides along to the layer that spans it.
+    attached; batch dispatch goes straight through ``submit_many`` (a batch
+    already is a batch).  A control-plane single never reaches ``submit``:
+    the processor sends it to the frontend's control door.  Each request's
+    trace rides along to the layer that spans it.
     """
 
     def __init__(self, server: "ServiceHTTPServer") -> None:
         self.server = server
 
     def submit(self, request: Request, trace: TraceContext | None = None) -> Response:
-        if is_data_plane(request):
-            if self.server.queue is not None:
-                return self.server.queue.submit(request, trace).result()
-            return self.server.frontend.submit(request, trace)
-        return self.server.frontend.submit_control(request, trace)
+        if self.server.queue is not None:
+            return self.server.queue.submit(request, trace).result()
+        return self.server.frontend.submit(request, trace)
 
     def submit_many(
         self,
@@ -1086,73 +1059,16 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     def set_tracer(self, tracer: Tracer | None) -> None:
         """Attach (or detach, with ``None``) a tracer to the serving path.
 
-        The two doors that mint traces read it: the transport (HTTP and
-        binary frames) and the envelope processor (envelopes arriving
-        without a trace).  Every later stage records its spans on the
-        trace passed down with the request.  Safe to flip at runtime: each
-        door re-reads its ``tracer`` attribute per request, which the
+        Only the HTTP door reads it: it draws one trace per JSON request
+        (one per envelope of a batch) and one per binary frame, and passes
+        it down, so each request consumes exactly one sampling draw and an
+        unsampled request stays unsampled.  Every later stage records its
+        spans on the trace passed down with the request.  Safe to flip at
+        runtime: the door re-reads ``tracer`` per request, which the
         overhead benchmark relies on to compare traced and untraced
         throughput on one warmed-up server.
         """
         self.tracer = tracer
-        self.processor.tracer = tracer
-
-    # ------------------------------------------------------------------ #
-    # dispatch (shared by single and batch endpoints)
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _as_legacy_response(sealed: SealedResponse) -> Response:
-        """Unwrap a legacy-envelope outcome into a bare v1 response.
-
-        The default caller carries full scopes, so denial only happens if
-        an operator revoked it (a legitimate way to switch the v1 surface
-        off); that surfaces as a typed 403 ``ErrorResponse``, never as a
-        crashed handler thread.
-        """
-        if isinstance(sealed.response, DeniedResponse):
-            return ErrorResponse(
-                request_kind=sealed.response.request_kind,
-                error="PermissionError",
-                message=f"the legacy /v1 caller was revoked "
-                f"({sealed.response.code}); use the authenticated /v2 API",
-            )
-        return sealed.response
-
-    def dispatch_legacy(
-        self, request: Request, trace: TraceContext | None = None
-    ) -> Response:
-        """Dispatch one bare (v1) request under the default-caller envelope.
-
-        *trace* is the transport's trace of the request (see
-        :meth:`EnvelopeProcessor.process
-        <repro.service.envelope.EnvelopeProcessor.process>`).
-        """
-        sealed = self.processor.process(
-            Envelope(
-                request=request,
-                api_key=self._legacy_api_key,
-                request_id=f"legacy-{next(self._legacy_ids)}",
-            ),
-            trace=trace,
-        )
-        return self._as_legacy_response(sealed)
-
-    def dispatch_many_legacy(self, requests: Sequence[Request]) -> list[Response]:
-        """Dispatch a bare (v1) batch under default-caller envelopes."""
-        if not requests:
-            return []
-        sealed = self.processor.process_many(
-            [
-                Envelope(
-                    request=request,
-                    api_key=self._legacy_api_key,
-                    request_id=f"legacy-{next(self._legacy_ids)}",
-                )
-                for request in requests
-            ]
-        )
-        return [self._as_legacy_response(item) for item in sealed]
 
     def dispatch_frame(
         self, frame: wirebin.RequestFrame, trace_id: str | None = None
@@ -1202,13 +1118,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             )
         elif frame.api_version != API_VERSION:
             self.telemetry.increment("envelope.denied", count)
-            rejection = DeniedResponse(
-                request_kind=frame.op,
-                code=CODE_UNSUPPORTED_VERSION,
-                message=f"api_version {frame.api_version} is not "
-                f"supported; this service speaks v{API_VERSION} "
-                "(and the legacy /v1 endpoint)",
-            )
+            rejection = unsupported_version(frame.op, frame.api_version)
         else:
             prepaid = frame.prepaid and self.trust_prepaid_frames
             if prepaid:

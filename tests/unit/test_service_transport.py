@@ -594,6 +594,32 @@ class TestV2Client:
         assert "legacy-v1" in metrics["callers"]
 
 
+class TestTraceSampling:
+    @pytest.mark.parametrize("versioned", [False, True], ids=["v1", "v2"])
+    def test_each_json_request_consumes_one_sampling_draw(self, frontend, versioned):
+        """An unsampled request stays unsampled: the HTTP door draws once,
+        and nothing downstream draws again for the same request."""
+        from repro.service.tracing import Tracer
+
+        tracer = Tracer(sample_rate=0.5, telemetry=frontend.telemetry)
+        with ServiceHTTPServer(frontend, tracer=tracer) as server:
+            api_key = server.callers.register("sampled", ("data:write",)) if versioned else None
+            with ServiceClient(port=server.port, api_key=api_key) as client:
+                for request in _auth_requests() * 3 + _auth_requests()[:1]:
+                    assert isinstance(client.submit(request), AuthenticationResponse)
+        events = tracer.events()
+        assert len(events) == 5
+        for event in events:
+            assert event["kind"] == "http"
+            assert "response_framing" in [span["name"] for span in event["spans"]]
+        telemetry = frontend.telemetry
+        assert (
+            telemetry.counter_value("trace.started")
+            + telemetry.counter_value("trace.unsampled")
+            == 10
+        )
+
+
 class TestRevokedLegacyCaller:
     def test_v1_answers_typed_403_after_the_legacy_caller_is_revoked(self, server):
         """Switching the unauthenticated surface off is a typed denial, not
