@@ -313,9 +313,11 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
         """Answer one bare or sealed response with the status it maps to,
         finishing *trace* (after its framing span) before the write."""
         if isinstance(answer, SealedResponse):
-            status, response, encode = status_for_sealed(answer), answer.response, dumps_sealed
+            status, encode = status_for_sealed(answer), dumps_sealed
+            response = answer.response
         else:
-            status, response, encode = status_for_response(answer), answer, dumps_response
+            status, encode = status_for_response(answer), dumps_response
+            response = answer
         headers = {}
         if isinstance(response, ThrottledResponse):
             headers["Retry-After"] = _retry_after(response.retry_after_s)
@@ -351,7 +353,9 @@ class ProtocolRequestHandler(BaseHTTPRequestHandler):
         if self.path == REQUESTS_PATH:
             return response_to_payload(response)
         request_id = str(item.get("request_id", "")) if isinstance(item, dict) else ""
-        return sealed_to_payload(SealedResponse(response=response, request_id=request_id))
+        return sealed_to_payload(
+            SealedResponse(response=response, request_id=request_id)
+        )
 
     # ------------------------------------------------------------------ #
     # GET
@@ -700,7 +704,9 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
             except Exception as error:
                 kind = "envelope"
                 if legacy:
-                    kind = str(item.get("kind", "unknown")) if isinstance(item, dict) else "unknown"
+                    kind = "unknown"
+                    if isinstance(item, dict):
+                        kind = str(item.get("kind", "unknown"))
                 response = self._client_error(kind, error)
                 if not batch:
                     # A malformed single body answers bare at both versions.
@@ -727,12 +733,13 @@ class _ServiceRequestHandler(ProtocolRequestHandler):
                 SealedResponse(response=failure, request_id=envelope.request_id)
                 for envelope in envelopes
             ]
+        outcomes = sealed
         if legacy:
-            sealed = [self._as_legacy_response(item) for item in sealed]
+            outcomes = [self._as_legacy_response(item) for item in sealed]
         if not batch:
-            self._send_response(sealed[0], traces and traces[0])
+            self._send_response(outcomes[0], traces and traces[0])
             return
-        for position, answer in zip(positions, sealed):
+        for position, answer in zip(positions, outcomes):
             answers[position] = (
                 response_to_payload(answer) if legacy else sealed_to_payload(answer)
             )
