@@ -129,6 +129,7 @@ from repro.service.transport import (
     HISTOGRAMS_PATH,
     METRICS_PATH,
     REQUESTS_PATH,
+    SERVE_POLL_INTERVAL_S,
     V2_ADMIN_PATH,
     V2_REQUESTS_PATH,
     ProtocolRequestHandler,
@@ -1761,7 +1762,10 @@ class ShardRouter(ThreadingHTTPServer):
         """Start serving on a daemon thread; returns ``self`` (idempotent)."""
         if self._serve_thread is None or not self._serve_thread.is_alive():
             self._serve_thread = threading.Thread(
-                target=self.serve_forever, name="shard-router", daemon=True
+                target=self.serve_forever,
+                args=(SERVE_POLL_INTERVAL_S,),
+                name="shard-router",
+                daemon=True,
             )
             self._serve_thread.start()
         return self

@@ -706,12 +706,7 @@ class CallerRegistry:
     # ------------------------------------------------------------------ #
 
     def record_usage(self, record: CallerRecord, count: int = 1) -> None:
-        """Fold *count* authorized requests into a caller's telemetry.
-
-        The batch fast path authorizes one ``(api_key, scope)`` pair once
-        per batch and folds the remaining envelopes in here, so counters
-        stay per-request accurate without per-request hashing and locking.
-        """
+        """Fold *count* authorized requests into a caller's telemetry."""
         if count <= 0:
             return
         with self._lock:
@@ -787,16 +782,33 @@ class CallerRegistry:
         insufficient scope.
         """
         outcome = self.authorize(api_key, required_scope, kind)
-        if isinstance(outcome, DeniedResponse):
-            record = None
-            if outcome.code == CODE_INSUFFICIENT_SCOPE and api_key:
-                key_hash = self.hash_key(api_key)
-                with self._lock:
-                    record = self._by_hash.get(key_hash)
-            self.record_denied(record, count - 1)
-            return outcome
-        self.record_usage(outcome, count - 1)
+        self.record_repeats(api_key, outcome, count - 1)
         return outcome
+
+    def record_repeats(
+        self,
+        api_key: str | None,
+        outcome: CallerRecord | DeniedResponse,
+        count: int,
+    ) -> None:
+        """Fold *count* more requests that share one authorization *outcome*.
+
+        The batch doors authorize an ``(api_key, scope)`` pair once and
+        fold its repeats in here, so the per-caller counters stay
+        per-request accurate — including the ``denied`` tally of a known
+        caller rejected for insufficient scope.
+        """
+        if count <= 0:
+            return
+        if not isinstance(outcome, DeniedResponse):
+            self.record_usage(outcome, count)
+            return
+        record = None
+        if outcome.code == CODE_INSUFFICIENT_SCOPE and api_key:
+            key_hash = self.hash_key(api_key)
+            with self._lock:
+                record = self._by_hash.get(key_hash)
+        self.record_denied(record, count)
 
 
 # --------------------------------------------------------------------- #
@@ -1309,12 +1321,10 @@ class EnvelopeProcessor:
             for key, index in owners.items():
                 self._finish(key, responses_by_index.get(index))
             # Fold the cache-replayed authorizations into the telemetry.
-            for cache_key, count in reuse_counts.items():
-                outcome = auth_cache[cache_key]
-                if isinstance(outcome, DeniedResponse):
-                    self.callers.record_denied(count=count)
-                else:
-                    self.callers.record_usage(outcome, count=count)
+            for (api_key, scope), count in reuse_counts.items():
+                self.callers.record_repeats(
+                    api_key, auth_cache[(api_key, scope)], count
+                )
             for trace in minted:
                 self.tracer.finish(trace)
         return sealed  # type: ignore[return-value]

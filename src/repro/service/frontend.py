@@ -32,10 +32,9 @@ rebuilt only when the registry's generation moves (see
 :class:`MicroBatchQueue` adds the asynchronous variant: concurrent callers
 enqueue single requests and receive futures, while a background worker
 drains the queue into coalesced ``submit_many`` batches.  Its admission
-control bounds the pending-request depth, rejecting (with a typed
-:class:`~repro.service.protocol.ThrottledResponse`) or blocking — the
-``overflow`` policy — once the bound is hit, and records every request's
-time-in-queue.
+control bounds the pending-request depth, rejecting with a typed
+:class:`~repro.service.protocol.ThrottledResponse` once the bound is hit,
+and records every request's time-in-queue.
 """
 
 from __future__ import annotations
@@ -593,27 +592,26 @@ class MicroBatchQueue:
     """Coalesces concurrently submitted requests into frontend batches.
 
     Callers :meth:`submit` individual protocol requests and receive
-    :class:`~concurrent.futures.Future`\\ s; a background worker drains the
-    queue — waiting at most ``max_delay_s`` after the first pending request
-    and taking at most ``max_batch`` requests — and dispatches each slice
-    through :meth:`ServiceFrontend.submit_many`, where consecutive
+    :class:`~concurrent.futures.Future`\\ s; a background worker dispatches
+    them through :meth:`ServiceFrontend.submit_many`, where consecutive
     authenticate requests coalesce into single vectorized passes.
+
+    **Batching never lingers.**  The worker blocks only for the first
+    request of a slice, then takes whatever else is already queued (at most
+    ``max_batch`` requests) and dispatches at once: a lone request pays no
+    wait, while requests that arrive during a pass form the next slice
+    (Clipper's opportunistic batching, Crankshaw et al., NSDI 2017).
 
     **Admission control.**  ``max_depth`` bounds how many accepted requests
     may be pending at once; without it a slow backend lets callers enqueue
-    unbounded work (and memory).  When the bound is hit, the ``overflow``
-    policy decides what a new submission does:
-
-    * ``"reject"`` (default) — the returned future resolves immediately to
-      a typed :class:`~repro.service.protocol.ThrottledResponse` carrying
-      the queue state and a retry hint; nothing is enqueued.
-    * ``"block"`` — the submitting thread waits until the worker drains a
-      slot (or the queue stops, which raises ``RuntimeError``), applying
-      backpressure to the caller instead of the queue.
+    unbounded work (and memory).  When the bound is hit, a new submission's
+    future resolves immediately to a typed
+    :class:`~repro.service.protocol.ThrottledResponse` carrying the queue
+    state; nothing is enqueued.
 
     Every dispatched request's time-in-queue lands in the frontend
-    telemetry's ``frontend.queue_wait`` latency recorder; rejections count
-    in the ``frontend.throttled`` counter.
+    telemetry's ``frontend.queue_wait`` histogram; rejections count in the
+    ``frontend.throttled`` counter.
 
     Use as a context manager, or call :meth:`start`/:meth:`stop`.
 
@@ -624,48 +622,29 @@ class MicroBatchQueue:
         each drained slice (and whose telemetry hub records queue metrics).
     max_batch:
         Most requests dispatched in one slice (>= 1).
-    max_delay_s:
-        Longest the worker waits after the first pending request before
-        dispatching a partial slice (>= 0).
     max_depth:
         Bound on pending (accepted but not yet dispatched) requests;
         ``None`` (default) keeps the queue unbounded.
-    overflow:
-        ``"reject"`` or ``"block"`` — what :meth:`submit` does when
-        ``max_depth`` pending requests already wait.
 
     Raises
     ------
     ValueError
-        If any knob is out of range or ``overflow`` names no policy.
+        If any knob is out of range.
     """
-
-    #: Valid ``overflow`` policies.
-    OVERFLOW_POLICIES = ("reject", "block")
 
     def __init__(
         self,
         frontend: ServiceFrontend,
         max_batch: int = 256,
-        max_delay_s: float = 0.005,
         max_depth: int | None = None,
-        overflow: str = "reject",
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_s < 0.0:
-            raise ValueError(f"max_delay_s must be >= 0, got {max_delay_s}")
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1 (or None), got {max_depth}")
-        if overflow not in self.OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {self.OVERFLOW_POLICIES}, got {overflow!r}"
-            )
         self.frontend = frontend
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
         self.max_depth = max_depth
-        self.overflow = overflow
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._worker: threading.Thread | None = None
         # submit() enqueues under this lock and stop() flips _closed under
@@ -673,17 +652,17 @@ class MicroBatchQueue:
         # ordered ahead of the sentinel and gets processed — a concurrent
         # submit/stop race can never strand a future unresolved.
         self._submit_guard = threading.Lock()
-        # Pending-request count, guarded by its own condition: the worker
-        # decrements (and wakes blocked submitters) without ever touching
-        # the submit guard, which stop() holds while joining the worker.
-        self._depth_cond = threading.Condition()
+        # Pending-request count, guarded by its own lock: the worker
+        # decrements it without ever touching the submit guard, which
+        # stop() holds while joining the worker.
+        self._depth_lock = threading.Lock()
         self._depth = 0
         self._closed = True
 
     @property
     def depth(self) -> int:
         """Accepted requests still waiting to be dispatched."""
-        with self._depth_cond:
+        with self._depth_lock:
             return self._depth
 
     # ------------------------------------------------------------------ #
@@ -717,10 +696,6 @@ class MicroBatchQueue:
                 if not self._closed:
                     self._closed = True
                     self._queue.put(_SENTINEL)
-                # Submitters blocked on a full queue must observe the close
-                # and bail out instead of waiting for capacity forever.
-                with self._depth_cond:
-                    self._depth_cond.notify_all()
                 worker.join()
             self._closed = True
             self._worker = None
@@ -741,18 +716,16 @@ class MicroBatchQueue:
         Non-protocol objects are rejected here, synchronously, so an
         invalid submission can never reach a batch slice and fail its
         neighbours' futures.  When ``max_depth`` pending requests already
-        wait, the configured ``overflow`` policy applies: ``"reject"``
-        resolves the returned future immediately to a
-        :class:`~repro.service.protocol.ThrottledResponse`, ``"block"``
-        waits for a free slot.  A *trace* rides in the queue item next to
-        its request and receives the ``queue_wait`` span.
+        wait, the returned future resolves immediately to a
+        :class:`~repro.service.protocol.ThrottledResponse`.  A *trace*
+        rides in the queue item next to its request and receives the
+        ``queue_wait`` span.
 
         Returns
         -------
         concurrent.futures.Future
             Resolves to the request's protocol response (which may be a
-            :class:`~repro.service.protocol.ThrottledResponse` under the
-            reject policy).
+            :class:`~repro.service.protocol.ThrottledResponse`).
 
         Raises
         ------
@@ -762,8 +735,7 @@ class MicroBatchQueue:
             authenticate / drift-report); admin operations dispatch through
             :meth:`ServiceFrontend.submit_control`.
         RuntimeError
-            If the queue is not running, or stops while this submission is
-            blocked waiting for capacity.
+            If the queue is not running.
         """
         kind = request_kind(request)  # raises TypeError on non-protocol input
         if not is_data_plane(request):
@@ -773,47 +745,28 @@ class MicroBatchQueue:
                 "control-plane operation — dispatch it through "
                 "ServiceFrontend.submit_control()"
             )
-        while True:
-            with self._submit_guard:
-                if self._closed or self._worker is None or not self._worker.is_alive():
-                    raise RuntimeError(
-                        "MicroBatchQueue is not running; call start() first"
-                    )
-                with self._depth_cond:
-                    if self.max_depth is None or self._depth < self.max_depth:
-                        self._depth += 1
-                        future: "Future[Response]" = Future()
-                        self._queue.put((request, trace, future, monotonic()))
-                        return future
-                    if self.overflow == "reject":
-                        self.frontend.telemetry.increment("frontend.throttled")
-                        throttled: "Future[Response]" = Future()
-                        throttled.set_result(
-                            ThrottledResponse(
-                                request_kind=kind,
-                                reason="queue-full",
-                                queue_depth=self._depth,
-                                max_depth=self.max_depth,
-                                retry_after_s=self.max_delay_s,
-                                user_id=getattr(request, "user_id", None),
-                            )
-                        )
-                        return throttled
-            # Block policy: wait for capacity OUTSIDE the submit guard so a
-            # concurrent stop() (which holds the guard while joining the
-            # worker) can still proceed and wake us up to fail cleanly.
-            with self._depth_cond:
-                self._depth_cond.wait_for(
-                    lambda: self._closed
-                    or self.max_depth is None
-                    or self._depth < self.max_depth
-                )
-
-    def _release_slot(self) -> None:
-        """Free one depth slot and wake a submitter blocked on capacity."""
-        with self._depth_cond:
-            self._depth -= 1
-            self._depth_cond.notify()
+        future: "Future[Response]" = Future()
+        with self._submit_guard:
+            if self._closed or self._worker is None or not self._worker.is_alive():
+                raise RuntimeError("MicroBatchQueue is not running; call start() first")
+            with self._depth_lock:
+                depth = self._depth
+                if self.max_depth is None or depth < self.max_depth:
+                    self._depth += 1
+                    self._queue.put((request, trace, future, monotonic()))
+                    return future
+        self.frontend.telemetry.increment("frontend.throttled")
+        future.set_result(
+            ThrottledResponse(
+                request_kind=kind,
+                reason="queue-full",
+                queue_depth=depth,
+                max_depth=self.max_depth,
+                retry_after_s=0.0,
+                user_id=getattr(request, "user_id", None),
+            )
+        )
+        return future
 
     def _run(self) -> None:
         stopping = False
@@ -821,22 +774,18 @@ class MicroBatchQueue:
             item = self._queue.get()
             if item is _SENTINEL:
                 break
-            self._release_slot()
             pending = [item]
-            deadline = monotonic() + self.max_delay_s
             while len(pending) < self.max_batch:
-                remaining = deadline - monotonic()
-                if remaining <= 0.0:
-                    break
                 try:
-                    item = self._queue.get(timeout=remaining)
+                    item = self._queue.get_nowait()
                 except queue.Empty:
                     break
                 if item is _SENTINEL:
                     stopping = True
                     break
-                self._release_slot()
                 pending.append(item)
+            with self._depth_lock:
+                self._depth -= len(pending)
             # Claim every future before dispatching: one that was cancelled
             # while pending is dropped here, and can no longer be cancelled
             # mid-dispatch — so the set_result below cannot raise and kill

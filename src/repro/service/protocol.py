@@ -576,9 +576,8 @@ class DrainShardResponse:
 class ThrottledResponse:
     """A request rejected by admission control before it was dispatched.
 
-    Emitted by the micro-batching queue when its bounded depth is exhausted
-    under the ``"reject"`` overflow policy, and mapped to HTTP 429 by the
-    transport.  Unlike :class:`ErrorResponse` this is not a failure of the
+    Emitted by the micro-batching queue when its bounded depth is
+    exhausted, and mapped to HTTP 429 by the transport.  Unlike :class:`ErrorResponse` this is not a failure of the
     request itself: retrying after ``retry_after_s`` is expected to succeed
     once the backlog drains.
 

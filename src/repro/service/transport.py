@@ -164,6 +164,10 @@ METRICS_PATH = "/metrics"
 #: trip to aggregate fleet-wide quantiles; kept off METRICS_PATH so that
 #: JSON surface stays byte-for-byte unchanged.
 HISTOGRAMS_PATH = "/metrics/histograms"
+#: How often a background serving loop looks for a shutdown request, in
+#: seconds.  The stdlib's 0.5 s default made every ``shutdown()`` wait up
+#: to half a second; requests are served as they arrive either way.
+SERVE_POLL_INTERVAL_S = 0.05
 
 #: HTTP status for an ErrorResponse, by the exception class that caused it.
 #: KeyError marks a missing resource (unknown user / version / detector);
@@ -1234,7 +1238,10 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             self.queue.start()
         if self._serve_thread is None or not self._serve_thread.is_alive():
             self._serve_thread = threading.Thread(
-                target=self.serve_forever, name="service-http-server", daemon=True
+                target=self.serve_forever,
+                args=(SERVE_POLL_INTERVAL_S,),
+                name="service-http-server",
+                daemon=True,
             )
             self._serve_thread.start()
         return self
@@ -1972,22 +1979,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-batch", type=int, default=256, help="micro-batch queue slice size"
     )
     parser.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=5.0,
-        help="micro-batch queue flush delay (milliseconds)",
-    )
-    parser.add_argument(
         "--max-depth",
         type=int,
         default=1024,
         help="admission-control bound on pending requests (0 = unbounded)",
-    )
-    parser.add_argument(
-        "--overflow",
-        choices=MicroBatchQueue.OVERFLOW_POLICIES,
-        default="reject",
-        help="what a full queue does with new submissions",
     )
     parser.add_argument(
         "--max-batch-items",
@@ -2071,9 +2066,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         else MicroBatchQueue(
             frontend,
             max_batch=args.max_batch,
-            max_delay_s=args.max_delay_ms / 1e3,
             max_depth=args.max_depth or None,
-            overflow=args.overflow,
         )
     )
     tracer = (

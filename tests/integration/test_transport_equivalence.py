@@ -84,7 +84,7 @@ class TestTransportEquivalence:
         """Cross-connection coalescing must not change a single bit either."""
         sample = probes[::25]
         in_process = fleet.frontend.submit_many(sample)
-        queue = MicroBatchQueue(fleet.frontend, max_batch=64, max_delay_s=0.005)
+        queue = MicroBatchQueue(fleet.frontend, max_batch=64)
         with ServiceHTTPServer(fleet.frontend, queue=queue) as server:
             with ServiceClient(port=server.port) as client:
                 for request, local in zip(sample, in_process):

@@ -37,6 +37,25 @@ def test_checker_detects_a_broken_link(tmp_path):
     assert any("missing module" in p for p in check_docs.check_module_paths(broken))
 
 
+def test_docs_name_only_declared_flags():
+    known = check_docs.declared_flags()
+    problems = [
+        p for path in check_docs.doc_files() for p in check_docs.check_flags(path, known)
+    ]
+    assert problems == []
+
+
+def test_checker_detects_an_unknown_flag(tmp_path):
+    doc = tmp_path / "flags.md"
+    doc.write_text(
+        "Serve with `--max-batch 64`.\n\n```\nrun --port 8414 --max-linger-ms 5\n```\n"
+        "Prose -- and --prose-only outside code are not checked.\n"
+    )
+    problems = check_docs.check_flags(doc, {"--max-batch", "--port"})
+    assert problems == [f"{doc}: names a flag no parser declares -> --max-linger-ms"]
+    assert "--max-batch" in check_docs.declared_flags()
+
+
 def test_required_sections_are_present():
     problems = [
         p

@@ -289,6 +289,21 @@ class TestDispatchAndIdempotency:
         assert frontend.telemetry.counter_value("callers.device-gw.requests") == 5
         assert frontend.telemetry.counter_value("callers.denied") == 3
 
+    def test_batch_scope_denials_count_per_caller_like_a_frame(
+        self, frontend, callers, processor
+    ):
+        """A batch's under-scoped caller is tallied once per envelope."""
+        key = callers.register("reader", (SCOPE_ADMIN,))
+        sealed = processor.process_many(
+            [Envelope(request=auth_request(), api_key=key) for _ in range(3)]
+        )
+        assert [item.response.code for item in sealed] == [
+            CODE_INSUFFICIENT_SCOPE
+        ] * 3
+        assert callers.snapshot()["reader"]["denied"] == 3
+        assert frontend.telemetry.counter_value("callers.reader.denied") == 3
+        assert frontend.telemetry.counter_value("callers.denied") == 3
+
     def test_batch_coalesces_admitted_authenticates(self, frontend, callers, processor):
         key = callers.register("device-gw", (SCOPE_DATA_WRITE,))
         before = frontend.telemetry.counter_value("frontend.coalesced_batches")

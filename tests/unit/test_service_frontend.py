@@ -1,7 +1,7 @@
 """Unit tests for the micro-batching service frontend."""
 
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -410,7 +410,7 @@ class TestControlDoor:
             frontend.submit_control("snapshot")  # type: ignore[arg-type]
 
     def test_queue_admits_only_the_data_plane(self, frontend):
-        with MicroBatchQueue(frontend, max_batch=4, max_delay_s=0.01) as queue:
+        with MicroBatchQueue(frontend, max_batch=4) as queue:
             accepted = queue.submit(probe())
             with pytest.raises(TypeError, match="data-plane"):
                 queue.submit(SnapshotRequest())
@@ -430,7 +430,7 @@ class TestMicroBatchQueue:
             "bg2": matrix("bg2", 6.0, n=4, seed=22),
         }
         contexts = (CoarseContext.STATIONARY,) * 4
-        with MicroBatchQueue(frontend, max_batch=64, max_delay_s=0.02) as queue:
+        with MicroBatchQueue(frontend, max_batch=64) as queue:
             barrier = threading.Barrier(len(probes))
             futures = {}
 
@@ -476,7 +476,7 @@ class TestMicroBatchQueue:
             )
 
     def test_cancelled_future_does_not_kill_the_worker(self, frontend):
-        with MicroBatchQueue(frontend, max_batch=4, max_delay_s=0.05) as queue:
+        with MicroBatchQueue(frontend, max_batch=4) as queue:
             first = queue.submit(probe())
             first.cancel()  # may or may not win the race with the worker
             second = queue.submit(probe())
@@ -489,29 +489,97 @@ class TestMicroBatchQueue:
 
     def test_non_protocol_submission_rejected_before_enqueue(self, frontend):
         """Invalid input fails synchronously, never poisoning a batch slice."""
-        with MicroBatchQueue(frontend, max_batch=8, max_delay_s=0.05) as queue:
+        with MicroBatchQueue(frontend, max_batch=8) as queue:
             good = queue.submit(probe())
             with pytest.raises(TypeError, match="not a protocol request"):
                 queue.submit("junk")  # type: ignore[arg-type]
             assert isinstance(good.result(timeout=5), EnrollResponse)
 
     def test_stop_drains_pending_requests(self, frontend):
-        queue = MicroBatchQueue(frontend, max_batch=8, max_delay_s=0.2)
+        queue = MicroBatchQueue(frontend, max_batch=8)
         queue.start()
         futures = [queue.submit(probe()) for _ in range(5)]
         queue.stop()
         for future in futures:
             assert isinstance(future.result(timeout=1), EnrollResponse)
 
+    def test_requests_waiting_behind_a_pass_coalesce_into_the_next(self, frontend):
+        train_alice(frontend)
+        passes = []
+        original = frontend.submit_many
+
+        def counting_submit_many(requests, traces=None):
+            passes.append(len(requests))
+            return original(requests, traces)
+
+        frontend.submit_many = counting_submit_many
+        entered, release = _block_gateway(frontend)
+        own = matrix("alice", 0.0, n=3, seed=30)
+        with MicroBatchQueue(frontend) as queue:
+            first = queue.submit(probe())  # pass 1, stuck in the gateway
+            assert entered.wait(timeout=5)
+            batches_before = frontend.telemetry.counter_value(
+                "frontend.coalesced_batches"
+            )
+            waiting = [
+                queue.submit(
+                    AuthenticateRequest(
+                        user_id="alice",
+                        features=own.values[row : row + 1],
+                        contexts=(CoarseContext.STATIONARY,),
+                    )
+                )
+                for row in range(3)
+            ]
+            assert queue.depth == 3
+            release.set()
+            assert isinstance(first.result(timeout=5), EnrollResponse)
+            for future in waiting:
+                assert isinstance(future.result(timeout=5), AuthenticationResponse)
+        assert passes == [1, 3]
+        assert (
+            frontend.telemetry.counter_value("frontend.coalesced_batches")
+            - batches_before
+            == 1
+        )
+
+    def test_a_lone_request_dispatches_without_lingering(self, frontend):
+        with MicroBatchQueue(frontend) as queue:
+            for _ in range(20):
+                assert isinstance(
+                    queue.submit(probe()).result(timeout=5), EnrollResponse
+                )
+        waits = frontend.telemetry.histogram("frontend.queue_wait")
+        assert waits.count == 20
+        assert waits.quantile(50.0) < 0.0025
+
+    def test_depth_returns_to_zero_under_concurrent_submitters(self, frontend):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MicroBatchQueue(frontend, max_batch=4, max_depth=10_000) as queue:
+                futures = []
+
+                def submit_many():
+                    futures.extend(queue.submit(probe()) for _ in range(25))
+
+                threads = [threading.Thread(target=submit_many) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for future in futures:
+                    assert isinstance(future.result(timeout=10), EnrollResponse)
+                assert queue.depth == 0
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_rejects_degenerate_parameters(self, frontend):
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatchQueue(frontend, max_batch=0)
-        with pytest.raises(ValueError, match="max_delay_s"):
-            MicroBatchQueue(frontend, max_delay_s=-1.0)
         with pytest.raises(ValueError, match="max_depth"):
             MicroBatchQueue(frontend, max_depth=0)
-        with pytest.raises(ValueError, match="overflow"):
-            MicroBatchQueue(frontend, overflow="shed")
 
 
 def _block_gateway(frontend):
@@ -531,9 +599,7 @@ def _block_gateway(frontend):
 class TestAdmissionControl:
     def test_full_queue_rejects_with_throttled_response(self, frontend):
         entered, release = _block_gateway(frontend)
-        queue = MicroBatchQueue(
-            frontend, max_batch=1, max_delay_s=0.0, max_depth=1, overflow="reject"
-        )
+        queue = MicroBatchQueue(frontend, max_batch=1, max_depth=1)
         with queue:
             first = queue.submit(probe())  # claimed by the worker
             assert entered.wait(timeout=5)  # ...which is now stuck in dispatch
@@ -561,67 +627,8 @@ class TestAdmissionControl:
         # Accepted requests were never throttled.
         assert frontend.telemetry.counter_value("frontend.throttled") == 1
 
-    def test_block_policy_applies_backpressure_to_the_submitter(self, frontend):
-        entered, release = _block_gateway(frontend)
-        queue = MicroBatchQueue(
-            frontend, max_batch=1, max_delay_s=0.0, max_depth=1, overflow="block"
-        )
-        with queue:
-            first = queue.submit(probe())
-            assert entered.wait(timeout=5)
-            second = queue.submit(probe())
-            resolved = []
-
-            def blocked_submit():
-                resolved.append(queue.submit(probe()))
-
-            submitter = threading.Thread(target=blocked_submit)
-            submitter.start()
-            time.sleep(0.1)
-            assert not resolved  # still waiting for a slot, nothing dropped
-            release.set()
-            submitter.join(timeout=5)
-            assert not submitter.is_alive()
-            for future in (first, second, *resolved):
-                assert isinstance(future.result(timeout=5), EnrollResponse)
-        assert frontend.telemetry.counter_value("frontend.throttled") == 0
-
-    def test_stop_fails_a_blocked_submitter_cleanly(self, frontend):
-        entered, release = _block_gateway(frontend)
-        queue = MicroBatchQueue(
-            frontend, max_batch=1, max_delay_s=0.0, max_depth=1, overflow="block"
-        )
-        queue.start()
-        first = queue.submit(probe())
-        assert entered.wait(timeout=5)
-        second = queue.submit(probe())
-        outcome = []
-
-        def blocked_submit():
-            try:
-                outcome.append(queue.submit(probe()))
-            except RuntimeError as error:
-                outcome.append(error)
-
-        submitter = threading.Thread(target=blocked_submit)
-        submitter.start()
-        time.sleep(0.1)
-        stopper = threading.Thread(target=queue.stop)
-        stopper.start()
-        time.sleep(0.1)
-        release.set()
-        stopper.join(timeout=10)
-        submitter.join(timeout=10)
-        assert not stopper.is_alive() and not submitter.is_alive()
-        # The blocked submission observed the shutdown (RuntimeError) rather
-        # than hanging forever or being silently dropped...
-        assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
-        # ...while both accepted requests were drained and answered.
-        assert isinstance(first.result(timeout=5), EnrollResponse)
-        assert isinstance(second.result(timeout=5), EnrollResponse)
-
     def test_queue_wait_telemetry_recorded_per_dispatched_request(self, frontend):
-        with MicroBatchQueue(frontend, max_batch=4, max_delay_s=0.01) as queue:
+        with MicroBatchQueue(frontend, max_batch=4) as queue:
             futures = [queue.submit(probe()) for _ in range(3)]
             for future in futures:
                 future.result(timeout=5)
@@ -630,7 +637,7 @@ class TestAdmissionControl:
         assert recorder.max_seconds < 5.0
 
     def test_unbounded_queue_never_throttles(self, frontend):
-        with MicroBatchQueue(frontend, max_batch=2, max_delay_s=0.0) as queue:
+        with MicroBatchQueue(frontend, max_batch=2) as queue:
             futures = [queue.submit(probe()) for _ in range(20)]
             for future in futures:
                 assert isinstance(future.result(timeout=5), EnrollResponse)

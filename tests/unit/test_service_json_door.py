@@ -269,7 +269,7 @@ def observe(name, monkeypatch):
     """Run case *name* on a fresh server; its answer and counter deltas."""
     path, body, setup = CASES[name]
     frontend = make_frontend()
-    queue = MicroBatchQueue(frontend, max_batch=32, max_delay_s=0.002)
+    queue = MicroBatchQueue(frontend, max_batch=32)
     server = ServiceHTTPServer(frontend, queue=queue)
     queue.start()
     try:

@@ -91,7 +91,7 @@ def frontend():
 @pytest.fixture()
 def traced(frontend):
     tracer = Tracer(sample_rate=1.0)
-    queue = MicroBatchQueue(frontend, max_batch=32, max_delay_s=0.002)
+    queue = MicroBatchQueue(frontend, max_batch=32)
     with ServiceHTTPServer(frontend, queue=queue, tracer=tracer) as server:
         api_key = server.callers.register("traced-op", ("data:write", "admin"))
         yield server, api_key, tracer

@@ -156,6 +156,14 @@ class TestEndpoints:
         assert payload["request_kind"] == "authenticate"
 
 
+class TestLifecycle:
+    def test_an_idle_server_shuts_down_promptly(self, frontend):
+        started = time.perf_counter()
+        with ServiceHTTPServer(frontend):
+            pass
+        assert time.perf_counter() - started < 0.2
+
+
 class TestSingleRequests:
     def test_authenticate_round_trips_bit_for_bit(self, frontend, client):
         own = matrix("alice", 0.0, n=4, seed=9)
@@ -289,9 +297,7 @@ class TestThrottlingOverTheWire:
             return original(request, trace)
 
         frontend.gateway.handle = slow_handle
-        queue = MicroBatchQueue(
-            frontend, max_batch=1, max_delay_s=0.0, max_depth=1, overflow="reject"
-        )
+        queue = MicroBatchQueue(frontend, max_batch=1, max_depth=1)
         with ServiceHTTPServer(frontend, queue=queue) as server:
             results = {}
 
@@ -1152,7 +1158,7 @@ def traced(frontend):
     from repro.service.tracing import Tracer
 
     tracer = Tracer(sample_rate=1.0, telemetry=frontend.telemetry)
-    queue = MicroBatchQueue(frontend, max_batch=32, max_delay_s=0.002)
+    queue = MicroBatchQueue(frontend, max_batch=32)
     with ServiceHTTPServer(frontend, queue=queue, tracer=tracer) as server:
         api_key = server.callers.register("traced-op", ("data:write", "admin"))
         yield server, api_key, tracer

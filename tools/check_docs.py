@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (stdlib only; used by CI and tier-1).
 
-Two guarantees, so the docs cannot silently rot as the code moves:
+Four guarantees, so the docs cannot silently rot as the code moves:
 
 1. every relative (internal) markdown link in ``docs/*.md`` and
    ``README.md`` resolves to an existing file;
@@ -10,7 +10,11 @@ Two guarantees, so the docs cannot silently rot as the code moves:
 3. load-bearing sections — ones other docs, runbooks or tests point
    at — are present under their exact headings (``REQUIRED_SECTIONS``),
    so a rewrite cannot silently drop the drain runbook or the
-   exactly-once quota contract.
+   exactly-once quota contract;
+4. every ``--flag`` named in a code span or fenced block is one some
+   parser in ``src/``, ``perfbench/``, ``tools/`` or ``examples/``
+   declares with ``add_argument("--flag"``, so a removed option cannot
+   linger in the docs.
 
 Run from anywhere::
 
@@ -52,6 +56,12 @@ REQUIRED_SECTIONS: dict[str, tuple[str, ...]] = {
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _MODULE_PATH = re.compile(r"`(src/[A-Za-z0-9_./-]+?)/?`")
 _SCHEMES = ("http://", "https://", "mailto:")
+#: Directories whose argparse declarations define the flags docs may name.
+FLAG_SOURCES = ("src", "perfbench", "tools", "examples")
+_DECLARED_FLAG = re.compile(r"""add_argument\(\s*["'](--[A-Za-z0-9][A-Za-z0-9-]*)["']""")
+_FENCED_BLOCK = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+_INLINE_CODE = re.compile(r"`([^`\n]+)`")
+_DOC_FLAG = re.compile(r"(?<![\w-])(--[A-Za-z0-9][A-Za-z0-9-]*)")
 
 
 def doc_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -111,12 +121,39 @@ def check_required_sections(path: Path, required: tuple[str, ...]) -> list[str]:
     ]
 
 
+def declared_flags(root: Path = REPO_ROOT) -> set[str]:
+    """Every ``--flag`` an ``add_argument`` call declares under
+    :data:`FLAG_SOURCES` (the regex spans multi-line calls)."""
+    return {
+        flag
+        for directory in FLAG_SOURCES
+        for source in sorted((root / directory).rglob("*.py"))
+        for flag in _DECLARED_FLAG.findall(source.read_text(encoding="utf-8"))
+    }
+
+
+def check_flags(path: Path, known: set[str]) -> list[str]:
+    """Problems with the ``--flags`` *path*'s code spans and blocks name."""
+    if not path.is_file():
+        return [f"{_label(path)}: documentation file is missing"]
+    text = path.read_text(encoding="utf-8")
+    code = _FENCED_BLOCK.findall(text)
+    code += _INLINE_CODE.findall(_FENCED_BLOCK.sub("", text))
+    named = {flag for snippet in code for flag in _DOC_FLAG.findall(snippet)}
+    return [
+        f"{_label(path)}: names a flag no parser declares -> {flag}"
+        for flag in sorted(named - known)
+    ]
+
+
 def check_all(root: Path = REPO_ROOT) -> list[str]:
     """Every documentation problem found (empty list = consistent)."""
     problems = []
+    known = declared_flags(root)
     for path in doc_files(root):
         problems.extend(check_links(path))
         problems.extend(check_module_paths(path))
+        problems.extend(check_flags(path, known))
     for name, required in REQUIRED_SECTIONS.items():
         problems.extend(check_required_sections(root / name, required))
     return problems
