@@ -775,11 +775,8 @@ class CallerRegistry:
         """Authorize *count* same-credential requests with one key check.
 
         The columnar-frame form of :meth:`authorize`: the outcome of one
-        hash-and-scope check covers every request in the frame, and the
-        remaining ``count - 1`` grants or denials are folded into the
-        telemetry so the per-caller counters stay per-request accurate —
-        including the ``denied`` tally of a known caller rejected for
-        insufficient scope.
+        hash-and-scope check covers every request in the frame, and
+        :meth:`record_repeats` folds in the remaining ``count - 1``.
         """
         outcome = self.authorize(api_key, required_scope, kind)
         self.record_repeats(api_key, outcome, count - 1)

@@ -576,17 +576,19 @@ class DrainShardResponse:
 class ThrottledResponse:
     """A request rejected by admission control before it was dispatched.
 
-    Emitted by the micro-batching queue when its bounded depth is
-    exhausted, and mapped to HTTP 429 by the transport.  Unlike :class:`ErrorResponse` this is not a failure of the
-    request itself: retrying after ``retry_after_s`` is expected to succeed
-    once the backlog drains.
+    Emitted when the micro-batching queue's bounded depth is exhausted, a
+    batch is too large, or a caller's rate limit is spent, and mapped to
+    HTTP 429 by the transport.  Unlike :class:`ErrorResponse` this is not
+    a failure of the request itself: retrying after ``retry_after_s`` is
+    expected to succeed once the backlog drains.
 
     Attributes
     ----------
     request_kind:
         The wire kind of the throttled request (e.g. ``"authenticate"``).
     reason:
-        Why admission was refused (currently always ``"queue-full"``).
+        Why admission was refused: ``"queue-full"``, ``"batch-too-large"``,
+        ``"rate-limited"`` or ``"batch-exceeds-burst"``.
     queue_depth:
         Pending requests at the moment of rejection.
     max_depth:

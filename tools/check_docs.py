@@ -127,7 +127,7 @@ def declared_flags(root: Path = REPO_ROOT) -> set[str]:
     return {
         flag
         for directory in FLAG_SOURCES
-        for source in sorted((root / directory).rglob("*.py"))
+        for source in (root / directory).rglob("*.py")
         for flag in _DECLARED_FLAG.findall(source.read_text(encoding="utf-8"))
     }
 
